@@ -10,7 +10,9 @@ Subcommands:
   verify     seeded invariant suite, one PASS/FAIL line per check
 
 Exit codes: 0 success, 1 verify failures, 2 argument or input errors,
-3 capacity budget exceeded (partial output is still written).
+3 capacity budget exceeded (partial output is still written), 4 numerical
+failure (a transfer eigen-solve that did not converge or failed its
+cross-check, or an inexact Ryser padding division).
 
 Floating point numbers are printed with 12 significant digits and a '.'
 decimal separator. Rerunning the same configuration with the same thread
@@ -706,6 +708,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ArithmeticError as e:
+        print(f"error: numerical: {e}", file=sys.stderr)
+        return 4
     if text:
         sys.stdout.write(text)
     return code

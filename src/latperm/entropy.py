@@ -190,19 +190,37 @@ class TransferMatrix:
     of width K = max displacement after translating the support to start at
     zero. Entry (S', S) sums the weights of displacement choices leading from
     profile S to profile S'.
+
+    Each step claims one position and retires position zero, which must be
+    claimed by then, so a state's popcount (the sites left of the cut sent
+    to the right of it) never changes: the matrix is block diagonal, with
+    one sector of C(K, k) states for each popcount k.
     """
 
     span: int
-    matrix: object  # dense ndarray or scipy sparse matrix
+    matrix: sp.csr_matrix
 
     @property
     def size(self) -> int:
-        return 1 if self.span == 0 else 1 << self.span
+        return 1 << self.span
 
     def dense(self) -> np.ndarray:
-        if sp.issparse(self.matrix):
-            return self.matrix.toarray()
-        return np.asarray(self.matrix)
+        return self.matrix.toarray()
+
+    def sectors(self) -> list[sp.csr_matrix]:
+        """The diagonal blocks, by increasing popcount; their spectra together
+        make up the spectrum of the whole matrix."""
+        states = np.arange(self.size)
+        pop = np.zeros_like(states)
+        for i in range(self.span):
+            pop += (states >> i) & 1
+        order = np.argsort(pop, kind="stable")
+        cuts = np.concatenate(([0], np.cumsum(np.bincount(pop))))
+        P = self.matrix[order][:, order]
+        blocks = [P[a:b, a:b] for a, b in zip(cuts, cuts[1:])]
+        if sum(B.nnz for B in blocks) != self.matrix.nnz:
+            raise ArithmeticError("transfer matrix has entries between popcount sectors")
+        return blocks
 
 
 _TRANSFER_MAX_SPAN = 20
@@ -219,71 +237,85 @@ def transfer_matrix(f: GroupRingElement) -> TransferMatrix:
     lo = min(p[0] for p in f.terms)
     shifted = {p[0] - lo: c for p, c in f.terms.items()}
     K = max(shifted)
-    if K == 0:
-        return TransferMatrix(0, np.array([[shifted[0]]], dtype=float))
     if K > _TRANSFER_MAX_SPAN:
         raise CapacityError(
             f"transfer span {K} exceeds the {_TRANSFER_MAX_SPAN} limit",
             1 << K, 1 << _TRANSFER_MAX_SPAN,
         )
     n = 1 << K
-    data, rows_idx, cols_idx = [], [], []
-    for S in range(n):
-        for a, c in shifted.items():
-            if a < K and S >> a & 1:
-                continue
-            if not (S & 1 or a == 0):
-                continue
-            new = (S | (1 << a)) >> 1
-            rows_idx.append(new)
-            cols_idx.append(S)
-            data.append(float(c))
-    M = sp.csr_matrix((data, (rows_idx, cols_idx)), shape=(n, n))
-    if K <= 10:
-        return TransferMatrix(K, M.toarray())
+    states = np.arange(n)
+    rows, cols, data = [], [], []
+    for a, c in shifted.items():
+        # the target a must be free (a = K always is), and a step that does
+        # not claim position zero needs it claimed already
+        allowed = (states >> a) & 1 == 0
+        if a:
+            allowed &= states & 1 == 1
+        src = states[allowed]
+        rows.append((src | 1 << a) >> 1)
+        cols.append(src)
+        data.append(np.full(len(src), float(c)))
+    M = sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
     return TransferMatrix(K, M)
+
+
+def _power_iteration(B: sp.csr_matrix, tol: float,
+                     max_iter: int) -> tuple[float, bool]:
+    """Spectral radius estimate of a nonnegative matrix, and whether the
+    iteration converged."""
+    # power iteration on I + B: the shift washes out rotating spectra of
+    # periodic chains; convergence is judged on the iterate residual, not on
+    # successive eigenvalue estimates, which can plateau before settling
+    n = B.shape[0]
+    x = np.full(n, 1.0 / n)
+    lam = 0.0
+    for _ in range(max_iter):
+        y = B @ x + x
+        total = y.sum()
+        y /= total
+        lam = total - 1.0
+        if np.abs(y - x).sum() <= tol:
+            return lam, True
+        x = y
+    return lam, False
 
 
 def _spectral_radius(T: TransferMatrix, tol: float = 1e-13,
                      max_iter: int = 500000) -> float:
-    M = T.matrix
-    n = T.size
-    if n == 1:
-        return float(T.dense()[0, 0])
-    # power iteration on I + M: the shift washes out rotating spectra of
-    # periodic chains; convergence is judged on the iterate residual, not on
-    # successive eigenvalue estimates, which can plateau before settling
-    x = np.full(n, 1.0 / n)
-    lam = 0.0
-    converged = False
-    for _ in range(max_iter):
-        y = M @ x + x
-        total = y.sum()
-        if total == 0:
-            return float("-inf")
-        y /= total
-        lam = total - 1.0
-        if np.abs(y - x).sum() <= tol:
-            converged = True
-            break
-        x = y
-    if not sp.issparse(M) and n <= 1 << 10:
-        dense_rho = float(np.abs(np.linalg.eigvals(np.asarray(M))).max())
-        if converged and abs(dense_rho - lam) > 1e-9 * max(1.0, dense_rho):
+    """Largest spectral radius over the popcount sectors of T.
+
+    Up to 1024 states, dense eigenvalues of each sector give the value and
+    must agree with power iteration wherever it converged."""
+    cross_check = T.size <= 1 << 10
+    rho = 0.0
+    for B in T.sectors():
+        if B.shape[0] == 1:
+            rho = max(rho, float(B[0, 0]))
+            continue
+        lam, converged = _power_iteration(B, tol, max_iter)
+        if cross_check:
+            dense = float(np.abs(np.linalg.eigvals(B.toarray())).max())
+            if converged and abs(dense - lam) > 1e-9 * max(1.0, dense):
+                raise ArithmeticError(
+                    f"power iteration ({lam}) and eigenvalues ({dense}) disagree"
+                )
+            lam = dense
+        elif not converged:
             raise ArithmeticError(
-                f"power iteration ({lam}) and eigenvalues ({dense_rho}) disagree"
+                f"power iteration did not converge within {max_iter} steps"
             )
-        return dense_rho
-    if not converged:
-        raise ArithmeticError(
-            f"power iteration did not converge within {max_iter} steps"
-        )
-    return lam
+        rho = max(rho, lam)
+    return rho
 
 
-def transfer_pressure(f: GroupRingElement) -> float:
-    """Exact pressure over Z: log spectral radius of the transfer matrix."""
-    T = transfer_matrix(f)
+def transfer_pressure(f: GroupRingElement | TransferMatrix) -> float:
+    """Exact pressure over Z: log spectral radius of the transfer matrix.
+
+    Takes the weight itself or its already built TransferMatrix."""
+    T = f if isinstance(f, TransferMatrix) else transfer_matrix(f)
     rho = _spectral_radius(T)
     if rho <= 0:
         return float("-inf")
@@ -294,9 +326,8 @@ def transfer_torus_value(f: GroupRingElement, n: int) -> float:
     """Trace of the n-th transfer power, which reproduces the quotient
     permanent once n clears the wrap-around width 2K+1."""
     T = transfer_matrix(f)
-    D = T.dense()
-    P = np.linalg.matrix_power(D, n)
-    return float(np.trace(P))
+    return float(sum(np.trace(np.linalg.matrix_power(B.toarray(), n))
+                     for B in T.sectors()))
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +396,8 @@ def estimate_report(
     transfer_value = None
     if f.dim == 1:
         try:
-            transfer_value = transfer_pressure(f)
             T = transfer_matrix(f)
+            transfer_value = transfer_pressure(T)
             rows.append(EstimateRow("transfer", T.size, transfer_value,
                                     transfer_value, "transfer"))
         except CapacityError as e:

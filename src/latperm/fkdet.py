@@ -140,11 +140,47 @@ def mahler_measure_roots(f: GroupRingElement) -> float:
     coeffs = [f.coef((k,)) for k in range(hi, lo - 1, -1)]
     value = math.log(abs(coeffs[0]))
     if len(coeffs) > 1:
-        for r in np.roots(coeffs):
+        for r in _merge_multiple_roots(coeffs, np.roots(coeffs)):
             m = abs(r)
             if m > 1:
                 value += math.log(m)
     return value
+
+
+_ROOT_LINK = 1e-2  # relative distance below which two roots may split one
+_ROOT_EVAL_SLACK = 1e3  # rounding allowance, in eps, on p(mean) of a cluster
+
+
+def _merge_multiple_roots(coeffs, roots: np.ndarray) -> np.ndarray:
+    """The roots, with each cluster that splits a multiple root replaced by
+    copies of its mean.
+
+    np.roots scatters a k-fold root by about eps^(1/k), so part of a multiple
+    root on the unit circle lands outside it; the mean of the scattered
+    cluster is accurate to O(eps). A cluster of roots linked by distances
+    below _ROOT_LINK counts as one multiple root when the polynomial vanishes
+    at its mean to rounding accuracy. Simple roots are returned unchanged.
+    """
+    clusters: list[list[int]] = []
+    for i, r in enumerate(roots):
+        tol = _ROOT_LINK * max(1.0, abs(r))
+        merged, rest = [i], []
+        for c in clusters:
+            if min(abs(r - roots[j]) for j in c) <= tol:
+                merged += c
+            else:
+                rest.append(c)
+        clusters = rest + [merged]
+    out = roots.copy()
+    sizes = np.abs(coeffs)
+    for c in clusters:
+        if len(c) == 1:
+            continue
+        mean = roots[c].mean()
+        slack = _ROOT_EVAL_SLACK * np.finfo(float).eps * np.polyval(sizes, abs(mean))
+        if abs(np.polyval(coeffs, mean)) <= slack:
+            out[c] = mean
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +394,12 @@ def evaluate_family(
         schedule = WindowSchedule.boxes(2, [2, 4, 6])
     if tori is None:
         tori = default_tori(inst.permanent_element, max_side=4)
-    upper_rows, _ = upper_estimates(inst.permanent_element, schedule,
-                                    modes=("admissible",), budget=budget,
-                                    threads=threads)
+    upper_rows, skipped = upper_estimates(inst.permanent_element, schedule,
+                                          modes=("admissible",), budget=budget,
+                                          threads=threads)
+    if not upper_rows:
+        raise CapacityError(
+            "no window fits the budget: " + "; ".join(skipped), budget=budget)
     torus_rows, _ = torus_estimates(inst.permanent_element, tori,
                                     budget=budget, threads=threads)
     per_high = min(r.normalized for r in upper_rows)

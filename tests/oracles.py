@@ -160,3 +160,24 @@ def quotient_convolve(a, b, moduli):
             r = tuple((x + y) % n for x, y, n in zip(p, q, moduli))
             out[r] = out.get(r, 0) + c * e
     return {k: v for k, v in out.items() if v != 0}
+
+
+def claimed_positions_transfer(offset_weights):
+    """Dense claimed-positions transfer matrix, one state at a time.
+
+    `offset_weights` maps nonnegative displacements (the least one 0) to
+    weights. A state is the bitmask of claimed positions in the look-ahead
+    window of width K; a site sends its mass to an unclaimed position a, and
+    position 0 must be claimed once the site is done before the window shifts.
+    """
+    K = max(offset_weights)
+    n = 1 << K
+    T = np.zeros((n, n))
+    for S in range(n):
+        for a, c in offset_weights.items():
+            if a < K and S >> a & 1:
+                continue
+            if not (S & 1 or a == 0):
+                continue
+            T[(S | 1 << a) >> 1, S] += c
+    return T

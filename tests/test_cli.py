@@ -5,6 +5,7 @@ import json
 import oracles
 import pytest
 
+import latperm.entropy as entropy
 from latperm.cli import RunConfig, main, parse_tori, parse_windows
 from latperm.fkdet import FAMILY_CSV_HEADER
 
@@ -127,6 +128,18 @@ class TestEntropy:
 
 
 class TestPressure:
+    def test_numerical_failure_exit_4(self, capsys, monkeypatch):
+        def fail(f):
+            raise ArithmeticError("power iteration did not converge")
+
+        monkeypatch.setattr(entropy, "transfer_pressure", fail)
+        code, out, err = run(capsys, ["pressure", "--inline", GOLDEN,
+                                      "--windows", "2..3"])
+        assert code == 4
+        assert out == ""
+        assert err == "error: numerical: power iteration did not converge\n"
+        assert "Traceback" not in err
+
     def test_weighted_keeps_weights(self, capsys):
         weighted = ('{"dim":1,"terms":[{"exp":[0],"coef":1},'
                     '{"exp":[1],"coef":2},{"exp":[2],"coef":1}]}')
@@ -261,6 +274,13 @@ class TestCompare:
         code, _, err = run(capsys, ["compare", "dimer", "--params", "a=-1"])
         assert code == 2
         assert "positive" in err
+
+    def test_no_window_in_budget_exit_3(self, capsys):
+        code, out, err = run(capsys, ["compare", "dimer", "--budget", "50"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("capacity budget exceeded: no window fits")
+        assert "2x2[admissible]" in err and "6x6[admissible]" in err
 
 
 class TestPeriodic:

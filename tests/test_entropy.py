@@ -2,12 +2,18 @@
 matrices, torus estimates, closed-form bounds, and the combined report."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latperm.entropy as entropy
 from latperm.entropy import (
     EstimateReport,
     WindowSchedule,
@@ -22,6 +28,7 @@ from latperm.entropy import (
     upper_estimates,
     zero_entropy,
 )
+from latperm.fkdet import family_instance, mahler_measure_roots
 from latperm.groupring import CapacityError, GroupRingElement, TorusQuotient, Window
 from latperm.permanent import torus_permanent, window_permanent
 
@@ -90,6 +97,90 @@ class TestTransferMatrix:
         f = GroupRingElement(1, {(0,): 1, (25,): 1})
         with pytest.raises(CapacityError):
             transfer_matrix(f)
+
+
+class TestTransferSectors:
+    def test_vectorized_build_matches_state_loop(self):
+        for weights in ({0: 1}, {0: 2, 1: 3}, {0: 1, 2: 1, 5: 1},
+                        {0: 2, 1: 1, 3: 3, 4: 1}, {0: 1, 6: 2, 7: 1}):
+            f = GroupRingElement(1, {(a + 3,): c for a, c in weights.items()})
+            T = transfer_matrix(f)
+            assert T.matrix.format == "csr"
+            assert np.array_equal(T.dense(),
+                                  oracles.claimed_positions_transfer(weights))
+
+    def test_sector_sizes_are_binomial(self):
+        T = transfer_matrix(indicator(0, 2, 3, 7))
+        sizes = [B.shape[0] for B in T.sectors()]
+        assert sizes == [math.comb(7, k) for k in range(8)]
+        assert sum(B.nnz for B in T.sectors()) == T.matrix.nnz
+
+    def test_non_convergence_raises(self):
+        T = transfer_matrix(indicator(0, 10, 11))
+        assert T.size > 1 << 10
+        with pytest.raises(ArithmeticError, match="converge"):
+            entropy._spectral_radius(T, max_iter=3)
+
+    def test_dense_disagreement_raises(self, monkeypatch):
+        T = transfer_matrix(indicator(0, 1, 2, 4))
+        monkeypatch.setattr(entropy, "_power_iteration",
+                            lambda B, tol, max_iter: (123.0, True))
+        with pytest.raises(ArithmeticError, match="disagree"):
+            entropy._spectral_radius(T)
+
+    @pytest.mark.parametrize("params", [
+        {"a": 1, "b": 1, "c": 1, "K": 16},
+        # two sectors with close radii: whole-matrix power iteration on
+        # 1 + 3u^10 + 2u^11 ran 500000 steps without converging
+        {"a": 2, "b": 3, "c": 1, "K": 11},
+    ])
+    def test_three_point_matches_root_measure(self, params):
+        inst = family_instance("three-point-Z", params)
+        expect = max(mahler_measure_roots(g) for g in inst.det_elements)
+        assert abs(transfer_pressure(inst.permanent_element) - expect) <= 1e-10
+
+    def test_no_scipy_linalg_imported(self):
+        code = (
+            "import sys, latperm.cli\n"
+            "from latperm import GroupRingElement, transfer_pressure\n"
+            "transfer_pressure(GroupRingElement(1, {(0,): 1, (13,): 1, (14,): 1}))\n"
+            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.linalg')"
+            " if m in sys.modules))\n"
+        )
+        src = str(Path(entropy.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_report_builds_transfer_matrix_once(self, monkeypatch):
+        built = []
+
+        def counting(f):
+            built.append(f)
+            return transfer_matrix(f)
+
+        monkeypatch.setattr(entropy, "transfer_matrix", counting)
+        rep = estimate_report(indicator(0, 1, 3), WindowSchedule.boxes(1, [4]),
+                              tori=[])
+        assert len(built) == 1
+        row = next(r for r in rep.rows if r.kind == "transfer")
+        assert row.size == 8
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.dictionaries(st.integers(0, 8), st.integers(1, 4), min_size=1,
+                       max_size=5))
+def test_sector_radius_matches_dense_spectrum(weights):
+    f = GroupRingElement(1, {(a,): c for a, c in weights.items()})
+    T = transfer_matrix(f)
+    D = T.dense()
+    pop = np.array([bin(s).count("1") for s in range(T.size)])
+    rows, cols = np.nonzero(D)
+    assert np.array_equal(pop[rows], pop[cols])
+    rho = float(np.abs(np.linalg.eigvals(D)).max())
+    assert abs(entropy._spectral_radius(T) - rho) <= 1e-9 * max(1.0, rho)
 
 
 class TestTransferPressure:

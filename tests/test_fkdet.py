@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate as si
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latperm.entropy import WindowSchedule
@@ -112,9 +112,19 @@ class TestMahlerRoots:
         with pytest.raises(ValueError):
             mahler_measure_roots(GroupRingElement(2, {(0, 0): 1, (1, 1): 1}))
 
+    def test_repeated_roots_on_the_circle(self):
+        # np.roots scatters a k-fold root by about eps^(1/k)
+        triple = poly({0: 1, 1: -2, 3: 2, 4: -1})  # (1-u)^3 (1+u)
+        sixfold = poly({k: (-1) ** k * math.comb(6, k) for k in range(7)})
+        assert abs(mahler_measure_roots(triple)) < 1e-12
+        assert abs(mahler_measure_roots(sixfold)) < 1e-12
+        squared = poly({0: 1, 1: -3, 2: 3}).convolve(poly({0: 1, 1: -3, 2: 3}))
+        assert abs(mahler_measure_roots(squared) - 2 * math.log(3)) < 1e-12
+
     @settings(deadline=None, max_examples=30)
     @given(st.lists(st.integers(-3, 3), min_size=2, max_size=4),
            st.lists(st.integers(-3, 3), min_size=2, max_size=4))
+    @example(cs=[1, -1], ds=[1, -1, -1, 1])
     def test_multiplicative_on_products(self, cs, ds):
         f = poly({k: c for k, c in enumerate(cs)})
         g = poly({k: c for k, c in enumerate(ds)})
