@@ -38,6 +38,7 @@ from .entropy import (
 )
 from .fkdet import (
     FAMILY_CSV_HEADER,
+    FAMILY_DEFAULTS,
     QuadratureConfig,
     evaluate_family,
     mahler_measure,
@@ -63,15 +64,6 @@ from .permanent import (
 
 _COMMANDS = ("entropy", "pressure", "permanent", "mahler", "compare",
              "periodic", "verify")
-
-_FAMILY_DEFAULTS = {
-    "trinomial-Z": {"a": 1.0, "b": 1.0, "c": 1.0},
-    "three-point-Z": {"a": 1.0, "b": 1.0, "c": 1.0, "K": 3},
-    "four-point-Z": {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, "K": 3},
-    "affine-Z2": {"a": 1.0, "b": 1.0, "c": 1.0},
-    "quad-Z2": {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
-    "dimer": {"a": 1.0, "b": 1.0},
-}
 
 _VERIFY_SEED = 20240816
 
@@ -346,16 +338,22 @@ def cmd_mahler(cfg: RunConfig) -> tuple[str, int]:
 def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
     if not cfg.family:
         raise ValueError("compare needs a family name")
-    if cfg.family not in _FAMILY_DEFAULTS:
-        known = ", ".join(sorted(_FAMILY_DEFAULTS))
+    if cfg.family not in FAMILY_DEFAULTS:
+        known = ", ".join(sorted(FAMILY_DEFAULTS))
         raise ValueError(f"unknown family {cfg.family!r} (known: {known})")
-    params = dict(_FAMILY_DEFAULTS[cfg.family])
+    params = dict(FAMILY_DEFAULTS[cfg.family])
     params.update(_parse_params(cfg.params or ""))
     qcfg = QuadratureConfig(grid=cfg.grid, eps=cfg.eps)
     rep = evaluate_family(cfg.family, params, cfg=qcfg, budget=cfg.budget,
                           threads=cfg.threads)
+    code = 0
+    if rep.capacity_skipped:
+        # the output keys stay fixed, so the skipped items are named on stderr
+        print("capacity budget exceeded: " + "; ".join(rep.capacity_skipped),
+              file=sys.stderr)
+        code = 3
     if cfg.out_format == "csv":
-        return FAMILY_CSV_HEADER + "\n" + rep.csv_row() + "\n", 0
+        return FAMILY_CSV_HEADER + "\n" + rep.csv_row() + "\n", code
     payload = {
         "command": "compare",
         "family": rep.instance.family,
@@ -368,7 +366,7 @@ def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
         "det_values": [_num(r.value) for r in rep.det_results],
         "torus_max": _num(rep.torus_max),
     }
-    return _dump(payload), 0
+    return _dump(payload), code
 
 
 def cmd_periodic(cfg: RunConfig) -> tuple[str, int]:
@@ -666,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mahler", help="logarithmic Mahler measure")
     add_common(sp, "Laurent element")
     sp = sub.add_parser("compare", help="permanent bracket vs determinant value")
-    sp.add_argument("family", help="one of: " + ", ".join(sorted(_FAMILY_DEFAULTS)))
+    sp.add_argument("family", help="one of: " + ", ".join(sorted(FAMILY_DEFAULTS)))
     sp.add_argument("--params", default=None, metavar="KV",
                     help="comma-separated overrides, e.g. 'a=2,b=1,K=4'")
     add_common(sp, "unused for compare")

@@ -254,13 +254,13 @@ def per_vs_det_report(
 # example families
 
 
-_FAMILY_PARAMS = {
-    "trinomial-Z": ("a", "b", "c"),
-    "three-point-Z": ("a", "b", "c", "K"),
-    "four-point-Z": ("a", "b", "c", "d", "K"),
-    "affine-Z2": ("a", "b", "c"),
-    "quad-Z2": ("a", "b", "c", "d"),
-    "dimer": ("a", "b"),
+FAMILY_DEFAULTS = {
+    "trinomial-Z": {"a": 1.0, "b": 1.0, "c": 1.0},
+    "three-point-Z": {"a": 1.0, "b": 1.0, "c": 1.0, "K": 3},
+    "four-point-Z": {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, "K": 3},
+    "affine-Z2": {"a": 1.0, "b": 1.0, "c": 1.0},
+    "quad-Z2": {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
+    "dimer": {"a": 1.0, "b": 1.0},
 }
 
 
@@ -286,9 +286,9 @@ class FamilyInstance:
 
 def family_instance(family: str, params: dict) -> FamilyInstance:
     """Build a family member from its parameter dict, validating ranges."""
-    if family not in _FAMILY_PARAMS:
+    if family not in FAMILY_DEFAULTS:
         raise ValueError(f"unknown family {family!r}")
-    names = _FAMILY_PARAMS[family]
+    names = tuple(FAMILY_DEFAULTS[family])
     if set(params) != set(names):
         raise ValueError(f"family {family} needs parameters {names}")
     vals = {k: params[k] for k in names}
@@ -346,7 +346,8 @@ class FamilyReport:
     per_low and per_high are certified: the transfer value twice in dimension
     one, the van der Waerden floor and the best window estimate in dimension
     two. torus_max is the best finite-quotient value, reported separately
-    because quotient values can overshoot the permanent in dimension two."""
+    because quotient values can overshoot the permanent in dimension two.
+    capacity_skipped names the windows and tori left out for the budget."""
 
     instance: FamilyInstance
     per_low: float
@@ -356,6 +357,7 @@ class FamilyReport:
     det_value: float
     det_error: float
     torus_max: float | None = None
+    capacity_skipped: tuple[str, ...] = ()
 
     def csv_row(self) -> str:
         return (f"{self.instance.family},{self.instance.params_label()},"
@@ -400,13 +402,14 @@ def evaluate_family(
     if not upper_rows:
         raise CapacityError(
             "no window fits the budget: " + "; ".join(skipped), budget=budget)
-    torus_rows, _ = torus_estimates(inst.permanent_element, tori,
-                                    budget=budget, threads=threads)
+    torus_rows, torus_skipped = torus_estimates(inst.permanent_element, tori,
+                                                budget=budget, threads=threads)
     per_high = min(r.normalized for r in upper_rows)
     per_low = pressure_lower_bound(inst.permanent_element)
     torus_max = max((r.normalized for r in torus_rows), default=None)
     return FamilyReport(inst, per_low, per_high, "certified-bracket",
-                        det_results, det_value, det_error, torus_max)
+                        det_results, det_value, det_error, torus_max,
+                        tuple(skipped + torus_skipped))
 
 
 # ---------------------------------------------------------------------------

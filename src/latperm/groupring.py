@@ -290,12 +290,6 @@ class TorusQuotient:
     def points(self) -> list[Point]:
         return list(itertools.product(*(range(n) for n in self.moduli)))
 
-    def index(self, p: Sequence[int]) -> int:
-        idx = 0
-        for c, n in zip(p, self.moduli):
-            idx = idx * n + (c % n)
-        return idx
-
 
 def project(f: GroupRingElement, quotient: TorusQuotient) -> dict[Point, float | int]:
     """Sum coefficients of f over the fibers of the quotient map."""

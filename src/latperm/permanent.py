@@ -4,12 +4,13 @@ The central quantity is the weighted count of injective (optionally
 interior-covering) patterns on a window, which is the permanent of a
 rectangular site-by-target matrix. Three backends are provided:
 
-* ``sweep`` - a frontier dynamic program over sites in lexicographic order.
-  States are bitmasks of claimed targets, restricted at every step to the
-  targets some later site can still claim, so the memo stays small. Coverage
-  requirements are enforced the moment a target's last potential claimant
-  passes. A pure-dict engine supports exact big-integer arithmetic, and a
-  vectorized numpy engine handles wide fronts (large torus quotients).
+* ``sweep`` - a frontier dynamic program over sites in lexicographic order,
+  run by one numpy engine for windows, tori and matrices. States are the
+  sets of claimed targets that some later site can still claim, so the
+  frontier stays small. Coverage requirements are enforced the moment a
+  target's last potential claimant passes. Keys and exact values start as
+  int64 and turn into Python ints when the frontier or the values outgrow
+  it, so integer inputs give exact integers of any size.
 * ``dfs`` - plain depth-first backtracking without memoization.
 * ``ryser`` - Gray-code Ryser on the dense matrix, with rectangular inputs
   padded by all-one rows, and coverage handled by inclusion-exclusion over
@@ -41,12 +42,9 @@ from .groupring import (
 )
 from .patterns import DEFAULT_BUDGET, enumerate_injective, enumerate_with_image, pattern_sign
 
-_INT64_GUARD = 1 << 60
+_KEY_BITS = 62  # int64 keys while at most this many targets are live
+_VALUE_LIMIT = 1 << 62  # exact int64 values stay below this
 _RYSER_MAX_COLS = 24
-
-
-class _Int64Overflow(Exception):
-    pass
 
 
 def log_of(x) -> float:
@@ -140,141 +138,141 @@ def _relevance(rows: list[list[tuple[int, object]]], nrows: int) -> list[int]:
     return rel
 
 
-def _sweep_dict(rows, required_mask: int, exact: bool, budget: int):
-    """Frontier DP with dict states; exact big-int arithmetic when asked."""
-    nrows = len(rows)
-    rel = _relevance(rows, nrows)
-    if required_mask & ~rel[0]:
-        return 0 if exact else 0.0
-    states = {0: 1 if exact else 1.0}
-    nodes = 0
-    for k in range(nrows):
-        keep = rel[k + 1]
-        need = rel[k] & ~keep & required_mask
-        new: dict[int, object] = {}
-        choices = [(1 << j, w) for j, w in rows[k]]
-        nodes += len(states) * len(choices)
-        if nodes > budget:
-            raise CapacityError(
-                f"sweep kernel exceeded {budget} nodes at row {k}/{nrows}", nodes, budget
-            )
-        for mask, val in states.items():
-            for bit, w in choices:
-                if mask & bit:
-                    continue
-                nm = mask | bit
-                if nm & need != need:
-                    continue
-                nm &= keep
-                if nm in new:
-                    new[nm] += val * w
-                else:
-                    new[nm] = val * w
-        if not new:
-            return 0 if exact else 0.0
-        states = new
-    return sum(states.values())
+def _bit_positions(mask: int) -> list[int]:
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
-def _sweep_vector(rows, ncols: int, required_mask: int, exact: bool, budget: int):
-    """Frontier DP with numpy state arrays and per-step bit compaction.
+# row v holds the eight bits of the byte v
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
-    State keys live in a per-step local coordinate system spanning only the
-    targets that are both claimable by now and still claimable later, which
-    keeps keys inside 62 bits even when the global target set is larger.
+
+def _remap(keys: np.ndarray, moves: list[tuple[int, int]], wide: bool) -> np.ndarray:
+    """Move bit p of every key to bit q for each (p, q) in moves; drop the rest.
+
+    The result is int64, or an object array of Python ints when ``wide``.
+    Moves keep their order, so a common offset is one shift; otherwise each
+    source byte goes through a 256-entry lookup table.
+    """
+    dtype = object if wide else np.int64
+    if not moves:
+        return np.zeros(keys.size, dtype=dtype)
+    if wide and keys.dtype != object:
+        keys = keys.astype(object)
+    shift = moves[0][1] - moves[0][0]
+    if all(q - p == shift for p, q in moves):
+        kept = 0
+        for p, _ in moves:
+            kept |= 1 << p
+        out = keys & kept
+        out = out << shift if shift >= 0 else out >> -shift
+        return out if out.dtype == dtype else out.astype(dtype)
+    by_byte: dict[int, list[tuple[int, int]]] = {}
+    for p, q in moves:
+        by_byte.setdefault(p >> 3, []).append((p & 7, q))
+    out = np.zeros(keys.size, dtype=dtype)
+    for b, bits in by_byte.items():
+        contrib = np.zeros(8, dtype=dtype)
+        for t, q in bits:
+            contrib[t] = 1 << q
+        idx = (keys >> (8 * b)) & 255
+        out |= (_BYTE_BITS @ contrib)[idx.astype(np.intp, copy=False)]
+    return out
+
+
+def _candidates(keys, vals, row, pos, npos, need, unclaimed):
+    """Keys (bits placed by npos) and values of every (state, choice) pair
+    that claims a free target and leaves no dying required target
+    unclaimed. Each choice copies only its admissible states, straight into
+    one preallocated pair of arrays: on wide tori these arrays set the peak
+    memory."""
+    base = _remap(keys, [(p, npos[j]) for j, p in pos.items() if j in npos],
+                  len(npos) > _KEY_BITS)
+    picks = []
+    for j, w in row:
+        if unclaimed and unclaimed != 1 << j:
+            continue
+        bit = 1 << pos[j] if j in pos else 0
+        if need | bit:
+            sel = (keys & (need | bit)) == need & ~bit
+            count = int(np.count_nonzero(sel))
+        else:
+            sel = None
+            count = keys.size
+        picks.append((sel, count, npos.get(j), w))
+    total = sum(count for _, count, _, _ in picks)
+    kk = np.empty(total, dtype=base.dtype)
+    vv = np.empty(total, dtype=vals.dtype)
+    start = 0
+    for sel, count, q, w in picks:
+        nk = kk[start:start + count]
+        nv = vv[start:start + count]
+        start += count
+        if sel is None:
+            nk[:] = base
+            nv[:] = vals
+        else:
+            np.compress(sel, base, out=nk)
+            np.compress(sel, vals, out=nv)
+        if q is not None:
+            nk |= 1 << q
+        nv *= w
+    return kk, vv
+
+
+def _sweep(rows, required_mask: int, exact: bool, budget: int):
+    """Frontier DP over the rows, vectorized over the states of each step.
+
+    A state is the set of claimed targets that a later row can still claim,
+    kept as a key whose bit ``pos[j]`` stands for the live target j. Keys are
+    int64 while at most 62 targets are live, Python ints beyond. Required
+    targets are checked at the row after which no row can claim them. Exact
+    values start as int64 and become Python ints at the first row whose
+    bound sum(|values|) * sum(|weights|) on the next values could reach
+    2^62. A node is one (state, choice) pair, counted before a row is built.
     """
     nrows = len(rows)
     rel = _relevance(rows, nrows)
+    zero = 0 if exact else 0.0
     if required_mask & ~rel[0]:
-        return 0 if exact else 0.0
-
-    def bits_of(mask: int) -> list[int]:
-        out = []
-        j = 0
-        while mask:
-            if mask & 1:
-                out.append(j)
-            mask >>= 1
-            j += 1
-        return out
-
-    dtype = np.int64 if exact else np.float64
+        return zero
     keys = np.zeros(1, dtype=np.int64)
-    vals = np.ones(1, dtype=dtype)
-    state_cols: list[int] = []
-    claimable = 0
+    vals = np.ones(1, dtype=np.int64 if exact else np.float64)
+    pos: dict[int, int] = {}
+    live = 0
     nodes = 0
-    for k in range(nrows):
-        targets = 0
-        for j, _ in rows[k]:
-            targets |= 1 << j
-        trans_mask = (claimable | targets) & rel[k]
-        trans = bits_of(trans_mask)
-        if len(trans) > 62:
-            raise CapacityError(
-                f"vector sweep needs {len(trans)} live targets at row {k} (max 62)",
-                nodes, budget,
-            )
-        tpos = {j: p for p, j in enumerate(trans)}
-        dying_req = rel[k] & ~rel[k + 1] & required_mask
-        if dying_req & ~trans_mask:
-            return 0 if exact else 0.0
-        need_local = 0
-        for j in bits_of(dying_req):
-            need_local |= 1 << tpos[j]
-        # embed incoming keys into the transient coordinate system
-        if state_cols != trans:
-            spread = np.zeros_like(keys)
-            for p, j in enumerate(state_cols):
-                spread |= ((keys >> p) & 1) << tpos[j]
-            keys = spread
-        next_cols = bits_of(trans_mask & rel[k + 1])
-        gather = [(tpos[j], p) for p, j in enumerate(next_cols)]
-        identity_gather = gather == [(p, p) for p in range(len(trans))]
-        parts_k = []
-        parts_v = []
-        for j, w in rows[k]:
-            lb = tpos[j]
-            free = (keys >> lb) & 1 == 0
-            nk = keys[free] | np.int64(1 << lb)
-            nv = vals[free]
-            if need_local:
-                ok = (nk & need_local) == need_local
-                nk = nk[ok]
-                nv = nv[ok]
-            if nk.size == 0:
-                continue
-            if not identity_gather:
-                mapped = np.zeros_like(nk)
-                for sp, dp in gather:
-                    mapped |= ((nk >> sp) & 1) << dp
-                nk = mapped
-            parts_k.append(nk)
-            if exact:
-                if nv.size and abs(int(np.abs(nv).max())) * abs(int(w)) > _INT64_GUARD:
-                    raise _Int64Overflow
-                parts_v.append(nv * int(w))
-            else:
-                parts_v.append(nv * w)
-        if not parts_k:
-            return 0 if exact else 0.0
-        kk = np.concatenate(parts_k)
-        vv = np.concatenate(parts_v)
-        nodes += kk.size
+    for k, row in enumerate(rows):
+        nodes += keys.size * len(row)
         if nodes > budget:
             raise CapacityError(
                 f"sweep kernel exceeded {budget} nodes at row {k}/{nrows}", nodes, budget
             )
+        if exact and vals.dtype != object:
+            bound = max(int(np.abs(vals).sum()), 1) * sum(abs(w) for _, w in row)
+            if bound >= _VALUE_LIMIT:
+                vals = vals.astype(object)
+        # every target that dies here is one of this row's targets, so an
+        # unclaimed one must be claimed by the row's choice
+        dying = rel[k] & ~rel[k + 1] & required_mask
+        unclaimed = dying & ~live
+        need = 0
+        for j in _bit_positions(dying & live):
+            need |= 1 << pos[j]
+        row_mask = 0
+        for j, _ in row:
+            row_mask |= 1 << j
+        nxt = (live | row_mask) & rel[k + 1]
+        npos = {j: q for q, j in enumerate(_bit_positions(nxt))}
+        kk, vv = _candidates(keys, vals, row, pos, npos, need, unclaimed)
+        if kk.size == 0:
+            return zero
         order = np.argsort(kk, kind="stable")
         kk = kk[order]
         vv = vv[order]
         starts = np.flatnonzero(np.concatenate(([True], kk[1:] != kk[:-1])))
         keys = kk[starts]
         vals = np.add.reduceat(vv, starts)
-        if exact and vals.size and abs(int(np.abs(vals).max())) > _INT64_GUARD:
-            raise _Int64Overflow
-        state_cols = next_cols
-        claimable |= targets
+        pos = npos
+        live = nxt
     total = vals.sum()
     return int(total) if exact else float(total)
 
@@ -389,7 +387,7 @@ def _window_rows(f: GroupRingElement, F: Window, A: Window, normalize: float | N
             w = c / normalize if normalize else c
             row.append((pos[add(s, a)], w))
         rows.append(row)
-    return rows, cols, pos
+    return rows, pos
 
 
 def _required_mask(required_points, pos) -> int:
@@ -403,17 +401,6 @@ def _pick_exact(f: GroupRingElement, exact: bool | None) -> bool:
     return f.is_integer() if exact is None else exact
 
 
-def _run_kernel(rows, ncols, required_mask, exact, budget, engine):
-    if engine == "dict":
-        return _sweep_dict(rows, required_mask, exact, budget)
-    if engine == "vector":
-        try:
-            return _sweep_vector(rows, ncols, required_mask, exact, budget)
-        except _Int64Overflow:
-            return _sweep_dict(rows, required_mask, exact, budget)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 def window_permanent(
     f: GroupRingElement,
     F: Window,
@@ -422,13 +409,13 @@ def window_permanent(
     backend: str = "auto",
     exact: bool | None = None,
     budget: int = DEFAULT_BUDGET,
-    engine: str | None = None,
 ) -> LogValue:
     """Weighted pattern sum over the window F.
 
     mode 'injective' sums over injective patterns, 'admissible' additionally
-    requires the image to cover the interior of F. The result is exact when
-    f has integer coefficients (arbitrary precision via the dict engine).
+    requires the image to cover the interior of F. The result is an exact
+    Python int when f has integer coefficients (or exact=True), however
+    large; otherwise it is computed in floats with f scaled to max |f_a| = 1.
     """
     if mode not in ("admissible", "injective"):
         raise ValueError("mode must be 'admissible' or 'injective'")
@@ -443,7 +430,7 @@ def window_permanent(
         normalize = None
     else:
         normalize = f.norm_inf()
-    rows, cols, pos = _window_rows(f, F, A, normalize)
+    rows, pos = _window_rows(f, F, A, normalize)
     req_mask = 0
     if mode == "admissible":
         req_mask = _required_mask(interior(F, A).points, pos)
@@ -451,8 +438,7 @@ def window_permanent(
     if backend == "auto":
         backend = "sweep"
     if backend == "sweep":
-        eng = engine or ("dict" if len(F) <= 48 or use_exact else "vector")
-        raw = _run_kernel(rows, len(cols), req_mask, use_exact, budget, eng)
+        raw = _sweep(rows, req_mask, use_exact, budget)
     elif backend == "dfs":
         raw = _dfs_permanent(rows, req_mask, use_exact, budget)
     elif backend == "ryser":
@@ -545,8 +531,7 @@ def torus_permanent(
         required_mask = (1 << ncols) - 1
         if backend == "dfs":
             return _dfs_permanent(rows, required_mask, use_exact, budget)
-        eng = "vector" if ncols > 24 else "dict"
-        return _run_kernel(rows, ncols, required_mask, use_exact, budget, eng)
+        return _sweep(rows, required_mask, use_exact, budget)
 
     weights = {
         a: (c / normalize if normalize else c) for a, c in reduced.items()
@@ -590,7 +575,7 @@ def matrix_permanent(
         for i in range(m):
             nz = np.nonzero(M[i])[0]
             rows.append([(int(j), int(M[i, j]) if exact else float(M[i, j])) for j in nz])
-        return _sweep_dict(rows, 0, exact, budget)
+        return _sweep(rows, 0, exact, budget)
     raise ValueError(f"unknown backend {backend!r}")
 
 

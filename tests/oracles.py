@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -113,6 +114,33 @@ def backtracking_torus_permanent(displacement_weights, moduli):
         return total
 
     return go(0)
+
+
+def kasteleyn_torus(a, b, m, n):
+    """Permanent of a(u1 + 1/u1) + b(u2 + 1/u2) on the m x n torus, m and n even.
+
+    The permanent counts ordered pairs of weighted dimer covers, so it is Z^2
+    with Z = (-Z00 + Z01 + Z10 + Z11) / 2 and
+    Z_st = prod_{j<m, k<n} |2a sin(pi(2j+s)/m) + 2ib sin(pi(2k+t)/n)|^(1/2)
+    (Kasteleyn 1961). Evaluated in mpmath and rounded to the exact integer.
+    """
+    if m % 2 or n % 2:
+        raise ValueError("Kasteleyn's formula needs even moduli")
+    with mpmath.workdps(30 + m * n):
+        z = 0
+        for s, t, sign in ((0, 0, -1), (0, 1, 1), (1, 0, 1), (1, 1, 1)):
+            prod = mpmath.mpf(1)
+            for j in range(m):
+                x = 2 * a * mpmath.sin(mpmath.pi * (2 * j + s) / m)
+                for k in range(n):
+                    y = 2 * b * mpmath.sin(mpmath.pi * (2 * k + t) / n)
+                    prod *= abs(mpmath.mpc(x, y))
+            z += sign * mpmath.sqrt(prod)
+        z /= 2
+        zi = int(mpmath.nint(z))
+        if abs(z - zi) > mpmath.mpf("1e-12"):
+            raise ArithmeticError(f"Kasteleyn value {z} is not an integer")
+    return zi * zi
 
 
 def jensen_mahler(coeffs):

@@ -8,6 +8,8 @@ import pytest
 import latperm.entropy as entropy
 from latperm.cli import RunConfig, main, parse_tori, parse_windows
 from latperm.fkdet import FAMILY_CSV_HEADER
+from latperm.groupring import GroupRingElement, Window
+from latperm.permanent import window_permanent
 
 GOLDEN = '{"dim":1,"terms":[{"exp":[0],"coef":1},{"exp":[1],"coef":1},{"exp":[2],"coef":1}]}'
 GOLDEN_SIGNED = '{"dim":1,"terms":[{"exp":[2],"coef":1},{"exp":[1],"coef":1},{"exp":[0],"coef":-1}]}'
@@ -281,6 +283,20 @@ class TestCompare:
         assert out == ""
         assert err.startswith("capacity budget exceeded: no window fits")
         assert "2x2[admissible]" in err and "6x6[admissible]" in err
+
+    def test_partly_skipped_windows_exit_3(self, capsys):
+        code, out, err = run(capsys, ["compare", "dimer", "--budget", "2000"])
+        assert code == 3
+        payload = json.loads(out)
+        assert list(payload) == ["command", "family", "params", "per_estimate_low",
+                                 "per_estimate_high", "per_label", "det_value",
+                                 "det_error_estimate", "det_values", "torus_max"]
+        dimer = GroupRingElement(2, {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1})
+        two = window_permanent(dimer, Window.box([0, 0], [2, 2]))
+        assert payload["per_estimate_high"] == pytest.approx(two.normalized(4), rel=1e-11)
+        assert err.startswith("capacity budget exceeded: ")
+        assert "4x4[admissible]" in err and "6x6[admissible]" in err
+        assert "2x2[admissible]" not in err
 
 
 class TestPeriodic:

@@ -106,17 +106,26 @@ class TestWindowPermanent:
 
     @given(weighted_instance())
     @settings(deadline=None, max_examples=40)
-    def test_engines_agree_and_float_tracks_exact(self, inst):
+    def test_float_tracks_exact(self, inst):
         f, F = inst
         for mode in ("injective", "admissible"):
-            exact = window_permanent(f, F, mode=mode, engine="dict").linear
-            vec = window_permanent(f, F, mode=mode, engine="vector").linear
-            assert vec == exact
+            exact = window_permanent(f, F, mode=mode).linear
             approx = window_permanent(f, F, mode=mode, exact=False)
             if exact == 0:
                 assert approx.sign == 0
             else:
                 assert approx.linear == pytest.approx(exact, rel=1e-10)
+
+    def test_frontier_wider_than_int64_keys(self):
+        # the first site can claim 70 targets, 69 of which stay live
+        f = elem(1, {(a,): 1 for a in range(70)})
+        F = Window.box([0], [3])
+        for mode in ("injective", "admissible"):
+            want = window_permanent(f, F, mode=mode, backend="dfs").linear
+            assert want == 328716
+            assert window_permanent(f, F, mode=mode).linear == want
+            approx = window_permanent(f, F, mode=mode, exact=False).linear
+            assert approx == pytest.approx(want, rel=1e-12)
 
     @given(weighted_instance(max_window=3), st.integers(1, 3))
     @settings(deadline=None, max_examples=40)
@@ -204,6 +213,11 @@ class TestMatrixPermanent:
     def test_more_rows_than_cols_is_zero(self):
         assert matrix_permanent(np.ones((3, 2))) == 0.0
 
+    def test_zero_row_is_zero(self):
+        M = np.array([[1, 2, 0], [0, 0, 0], [3, 1, 1]])
+        assert matrix_permanent(M, backend="sweep", exact=True) == 0
+        assert matrix_permanent(M, backend="sweep") == 0.0
+
     def test_ryser_column_cap(self):
         with pytest.raises(CapacityError):
             ryser_permanent(np.ones((2, 30)))
@@ -283,6 +297,15 @@ class TestTorusPermanent:
         f = ones([[1, 0], [-1, 0], [0, 1], [0, -1]])
         v = torus_permanent(f, TorusQuotient((8, 8)))
         assert v.linear == 311853312 ** 2
+
+    @pytest.mark.parametrize("a,b,m,n", [(1, 1, 4, 4), (1, 1, 6, 8), (1, 1, 8, 8),
+                                         (3, 4, 8, 8)])
+    def test_dimer_torus_matches_kasteleyn(self, a, b, m, n):
+        f = elem(2, {(1, 0): a, (-1, 0): a, (0, 1): b, (0, -1): b})
+        want = oracles.kasteleyn_torus(a, b, m, n)
+        assert torus_permanent(f, TorusQuotient((m, n))).linear == want
+        assert torus_permanent(f, TorusQuotient((m, n)), exact=False).linear == \
+            pytest.approx(want, rel=1e-10)
 
 
 class TestSignedSums:
