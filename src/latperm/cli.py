@@ -31,9 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import (
+    EstimateRow,
     WindowSchedule,
     default_tori,
+    estimate_csv,
     estimate_report,
+    torus_label,
     transfer_pressure,
 )
 from .fkdet import (
@@ -295,11 +298,8 @@ def cmd_permanent(cfg: RunConfig) -> tuple[str, int]:
     values = {mode: window_permanent(f, F, mode=mode, budget=cfg.budget)
               for mode in ("admissible", "injective")}
     if cfg.out_format == "csv":
-        lines = ["window,size,log_value,normalized,kind"]
-        for mode, lv in values.items():
-            lines.append(f"{label},{len(F)},{lv.log:.12g},"
-                         f"{lv.normalized(len(F)):.12g},{mode}")
-        return "\n".join(lines) + "\n", 0
+        return estimate_csv(EstimateRow(label, len(F), lv.log, lv.normalized(len(F)), mode)
+                            for mode, lv in values.items()), 0
     payload = {"command": "permanent", "dim": f.dim, "window": label,
                "size": len(F)}
     for mode, lv in values.items():
@@ -386,7 +386,7 @@ def cmd_periodic(cfg: RunConfig) -> tuple[str, int]:
     skipped: list[str] = []
     for mod in moduli:
         q = TorusQuotient(mod)
-        label = "x".join(str(m) for m in mod)
+        label = torus_label(q)
         try:
             lv = torus_permanent(f, q, budget=cfg.budget)
         except CapacityError as e:
@@ -395,11 +395,8 @@ def cmd_periodic(cfg: RunConfig) -> tuple[str, int]:
         rows.append((label, q.size, lv))
     code = 3 if skipped else 0
     if cfg.out_format == "csv":
-        lines = ["window,size,log_value,normalized,kind"]
-        for label, size, lv in rows:
-            lines.append(f"{label},{size},{lv.log:.12g},"
-                         f"{lv.normalized(size):.12g},torus")
-        return "\n".join(lines) + "\n", code
+        return estimate_csv(EstimateRow(label, size, lv.log, lv.normalized(size), "torus")
+                            for label, size, lv in rows), code
     payload = {
         "command": "periodic",
         "dim": f.dim,

@@ -26,7 +26,7 @@ from .groupring import (
     separated_on_quotient,
 )
 from .patterns import DEFAULT_BUDGET
-from .permanent import LogValue, torus_permanent, window_permanent
+from .permanent import torus_permanent, window_permanent
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,14 @@ class EstimateRow:
     kind: str  # upper | torus | transfer | bound
 
 
+def estimate_csv(rows) -> str:
+    """The CSV of EstimateRows: a header line, then one line per row."""
+    lines = ["window,size,log_value,normalized,kind"]
+    for r in rows:
+        lines.append(f"{r.window},{r.size},{r.log_value:.12g},{r.normalized:.12g},{r.kind}")
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class EstimateReport:
     """Bundle of upper estimates, quotient lower estimates, and bounds.
@@ -90,12 +98,28 @@ class EstimateReport:
     capacity_skipped: tuple[str, ...] = field(default=())
 
     def to_csv(self) -> str:
-        lines = ["window,size,log_value,normalized,kind"]
-        for r in self.rows:
-            lines.append(
-                f"{r.window},{r.size},{r.log_value:.12g},{r.normalized:.12g},{r.kind}"
-            )
-        return "\n".join(lines) + "\n"
+        return estimate_csv(self.rows)
+
+
+def _run_jobs(run, jobs, label, threads: int):
+    """(job, run(job)) for each job that fits the budget, in input order,
+    and a "label: message" line for each whose run raised CapacityError.
+    The jobs run one after another, or on a thread pool when threads > 1."""
+
+    def attempt(job):
+        try:
+            return job, run(job), None
+        except CapacityError as e:
+            return job, None, f"{label(job)}: {e}"
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(attempt, jobs))
+    else:
+        results = [attempt(job) for job in jobs]
+    done = [(job, value) for job, value, err in results if err is None]
+    skipped = [err for _, _, err in results if err is not None]
+    return done, skipped
 
 
 def upper_estimates(
@@ -110,35 +134,19 @@ def upper_estimates(
     pressure. Windows whose kernel blows the node budget are skipped and
     reported, so a partial schedule still yields certified estimates."""
 
-    jobs = [
-        (label, F, mode)
-        for label, F in schedule
-        for mode in modes
-    ]
-
-    def run(job):
-        label, F, mode = job
-        try:
-            v = window_permanent(f, F, A=A, mode=mode, budget=budget)
-            return (label, F, mode, v, None)
-        except CapacityError as e:
-            return (label, F, mode, None, str(e))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-
+    jobs = [(label, F, mode) for label, F in schedule for mode in modes]
+    done, skipped = _run_jobs(
+        lambda job: window_permanent(f, job[1], A=A, mode=job[2], budget=budget),
+        jobs, lambda job: f"{job[0]}[{job[2]}]", threads)
     rows: list[EstimateRow] = []
-    skipped: list[str] = []
-    for label, F, mode, v, err in results:
-        if err is not None:
-            skipped.append(f"{label}[{mode}]: {err}")
-            continue
+    for (label, F, mode), v in done:
         name = label if mode == "admissible" else f"{label}-inj"
         rows.append(EstimateRow(name, len(F), v.log, v.normalized(len(F)), "upper"))
     return rows, skipped
+
+
+def torus_label(q: TorusQuotient) -> str:
+    return "x".join(str(n) for n in q.moduli)
 
 
 def torus_estimates(
@@ -154,27 +162,10 @@ def torus_estimates(
     reported like in upper_estimates.
     """
 
-    def run(q):
-        try:
-            return q, torus_permanent(f, q, budget=budget), None
-        except CapacityError as e:
-            return q, None, str(e)
-
-    quotients = list(quotients)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, quotients))
-    else:
-        results = [run(q) for q in quotients]
-
-    rows: list[EstimateRow] = []
-    skipped: list[str] = []
-    for q, v, err in results:
-        label = "x".join(str(n) for n in q.moduli)
-        if err is not None:
-            skipped.append(f"{label}: {err}")
-            continue
-        rows.append(EstimateRow(label, q.size, v.log, v.normalized(q.size), "torus"))
+    done, skipped = _run_jobs(lambda q: torus_permanent(f, q, budget=budget),
+                              list(quotients), torus_label, threads)
+    rows = [EstimateRow(torus_label(q), q.size, v.log, v.normalized(q.size), "torus")
+            for q, v in done]
     return rows, skipped
 
 

@@ -4,7 +4,9 @@ The central quantity is the weighted count of injective (optionally
 interior-covering) patterns on a window, which is the permanent of a
 rectangular site-by-target matrix. Three backends are provided:
 
-* ``sweep`` - a frontier dynamic program over sites in lexicographic order,
+* ``sweep`` - the sites split into the connected components of the
+  site-target graph, and the permanent is the product over the components
+  of a frontier dynamic program over their sites in lexicographic order,
   run by one numpy engine for windows, tori and matrices. States are the
   sets of claimed targets that some later site can still claim, so the
   frontier stays small. Coverage requirements are enforced the moment a
@@ -88,40 +90,6 @@ class LogValue:
 
     def is_zero(self) -> bool:
         return self.sign == 0
-
-
-@dataclass(frozen=True)
-class WeightedBipartite:
-    """Dense site-by-target matrix of displacement weights.
-
-    Rows follow the window F, columns the dilated window FA, and the entry at
-    (s, t) is the weight of the displacement t - s. ``required`` lists the
-    columns (interior points) that admissible patterns must cover.
-    """
-
-    rows: tuple[Point, ...]
-    cols: tuple[Point, ...]
-    matrix: np.ndarray
-    required: tuple[Point, ...]
-
-    def required_indices(self) -> list[int]:
-        pos = {t: j for j, t in enumerate(self.cols)}
-        return [pos[t] for t in self.required]
-
-
-def bipartite_structure(f: GroupRingElement, F: Window, A: Window | None = None) -> WeightedBipartite:
-    """Build the rectangular weight matrix of (f, A, F)."""
-    A = A if A is not None else f.support()
-    if not f.support().point_set <= A.point_set:
-        raise ValueError("support of f must lie inside A")
-    cols = dilate(F, A).points
-    pos = {t: j for j, t in enumerate(cols)}
-    M = np.zeros((len(F), len(cols)))
-    for i, s in enumerate(F.points):
-        for a, c in f.terms.items():
-            M[i, pos[add(s, a)]] = c
-    req = interior(F, A).points
-    return WeightedBipartite(F.points, cols, M, req)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +187,54 @@ def _candidates(keys, vals, row, pos, npos, need, unclaimed):
     return kk, vv
 
 
+def _components(masks: list[int]) -> list[tuple[list[int], int]]:
+    """Connected components of the site-target graph, as (row indices in
+    site order, target mask) pairs ordered by their first row. Two rows are
+    joined when they share a target."""
+    groups: list[tuple[int, list[int]]] = []
+    for k, mask in enumerate(masks):
+        members = [k]
+        for gmask, gmembers in [g for g in groups if g[0] & mask]:
+            mask |= gmask
+            members += gmembers
+        groups = [g for g in groups if not g[0] & mask] + [(mask, members)]
+    return sorted(((sorted(m), mask) for mask, m in groups), key=lambda c: c[0][0])
+
+
 def _sweep(rows, required_mask: int, exact: bool, budget: int):
+    """Permanent of the rows that leaves no required target unclaimed.
+
+    The rows split into the connected components of the site-target graph,
+    and the value is the product of the components' values: a
+    block-diagonal matrix has the permanent of its blocks multiplied. Each
+    component runs the frontier engine in site order with its own required
+    targets, all of them draw on one node budget, and the sweep stops at the
+    first component whose value is 0.
+    """
+    zero = 0 if exact else 0.0
+    parts = _components([_row_mask(row) for row in rows])
+    # the component masks are disjoint, so their sum is their union
+    if required_mask & ~sum(mask for _, mask in parts):
+        return zero
+    total = 1 if exact else 1.0
+    nodes = 0
+    for members, mask in parts:
+        value, nodes = _frontier([rows[k] for k in members], required_mask & mask,
+                                 exact, budget, nodes)
+        if value == 0:
+            return zero
+        total *= value
+    return total
+
+
+def _row_mask(row) -> int:
+    mask = 0
+    for j, _ in row:
+        mask |= 1 << j
+    return mask
+
+
+def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int):
     """Frontier DP over the rows, vectorized over the states of each step.
 
     A state is the set of claimed targets that a later row can still claim,
@@ -228,23 +243,23 @@ def _sweep(rows, required_mask: int, exact: bool, budget: int):
     targets are checked at the row after which no row can claim them. Exact
     values start as int64 and become Python ints at the first row whose
     bound sum(|values|) * sum(|weights|) on the next values could reach
-    2^62. A node is one (state, choice) pair, counted before a row is built.
+    2^62. A node is one (state, choice) pair, counted before a row is built;
+    ``nodes`` counts those already spent, and the value comes back with the
+    new count.
     """
     nrows = len(rows)
     rel = _relevance(rows, nrows)
     zero = 0 if exact else 0.0
-    if required_mask & ~rel[0]:
-        return zero
     keys = np.zeros(1, dtype=np.int64)
     vals = np.ones(1, dtype=np.int64 if exact else np.float64)
     pos: dict[int, int] = {}
     live = 0
-    nodes = 0
     for k, row in enumerate(rows):
         nodes += keys.size * len(row)
         if nodes > budget:
             raise CapacityError(
-                f"sweep kernel exceeded {budget} nodes at row {k}/{nrows}", nodes, budget
+                f"sweep kernel exceeded {budget} nodes at row {k}/{nrows} of a component",
+                nodes, budget,
             )
         if exact and vals.dtype != object:
             bound = max(int(np.abs(vals).sum()), 1) * sum(abs(w) for _, w in row)
@@ -257,14 +272,11 @@ def _sweep(rows, required_mask: int, exact: bool, budget: int):
         need = 0
         for j in _bit_positions(dying & live):
             need |= 1 << pos[j]
-        row_mask = 0
-        for j, _ in row:
-            row_mask |= 1 << j
-        nxt = (live | row_mask) & rel[k + 1]
+        nxt = (live | _row_mask(row)) & rel[k + 1]
         npos = {j: q for q, j in enumerate(_bit_positions(nxt))}
         kk, vv = _candidates(keys, vals, row, pos, npos, need, unclaimed)
         if kk.size == 0:
-            return zero
+            return zero, nodes
         order = np.argsort(kk, kind="stable")
         kk = kk[order]
         vv = vv[order]
@@ -274,7 +286,7 @@ def _sweep(rows, required_mask: int, exact: bool, budget: int):
         pos = npos
         live = nxt
     total = vals.sum()
-    return int(total) if exact else float(total)
+    return (int(total) if exact else float(total)), nodes
 
 
 def _dfs_permanent(rows, required_mask: int, exact: bool, budget: int):
@@ -375,26 +387,14 @@ def ryser_permanent(M: np.ndarray, exact: bool = False):
 # window and torus permanents
 
 
-def _window_rows(f: GroupRingElement, F: Window, A: Window, normalize: float | None):
-    cols = dilate(F, A).points
-    pos = {t: j for j, t in enumerate(cols)}
-    disp = sorted(f.terms)
-    rows = []
-    for s in F.points:
-        row = []
-        for a in disp:
-            c = f.terms[a]
-            w = c / normalize if normalize else c
-            row.append((pos[add(s, a)], w))
-        rows.append(row)
-    return rows, pos
-
-
-def _required_mask(required_points, pos) -> int:
-    mask = 0
-    for t in required_points:
-        mask |= 1 << pos[t]
-    return mask
+def _rows(sites, weights: dict, index: dict, reduce=None):
+    """The (target column, weight) pairs of each site, one per displacement
+    in sorted order; ``reduce`` maps a target onto a quotient first."""
+    disp = sorted(weights)
+    return [
+        [(index[reduce(add(s, a)) if reduce else add(s, a)], weights[a]) for a in disp]
+        for s in sites
+    ]
 
 
 def _pick_exact(f: GroupRingElement, exact: bool | None) -> bool:
@@ -430,22 +430,23 @@ def window_permanent(
         normalize = None
     else:
         normalize = f.norm_inf()
-    rows, pos = _window_rows(f, F, A, normalize)
+    weights = {a: (c / normalize if normalize else c) for a, c in f.terms.items()}
+    index = {t: j for j, t in enumerate(dilate(F, A).points)}
+    rows = _rows(F.points, weights, index)
     req_mask = 0
     if mode == "admissible":
-        req_mask = _required_mask(interior(F, A).points, pos)
+        req_mask = sum(1 << index[t] for t in interior(F, A).points)
 
-    if backend == "auto":
-        backend = "sweep"
-    if backend == "sweep":
+    if backend in ("auto", "sweep"):
         raw = _sweep(rows, req_mask, use_exact, budget)
     elif backend == "dfs":
         raw = _dfs_permanent(rows, req_mask, use_exact, budget)
     elif backend == "ryser":
-        B = bipartite_structure(f, F, A)
-        req = B.required_indices() if mode == "admissible" else []
-        M = B.matrix if normalize is None else B.matrix / normalize
-        raw = _inclusion_exclusion_permanent(M, req, use_exact)
+        M = np.zeros((len(rows), len(index)))
+        for i, row in enumerate(rows):
+            for j, w in row:
+                M[i, j] = w
+        raw = _inclusion_exclusion_permanent(M, _bit_positions(req_mask), use_exact)
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -483,7 +484,6 @@ def torus_permanent(
     backend: str = "auto",
     exact: bool | None = None,
     budget: int = DEFAULT_BUDGET,
-    factorize: bool | None = None,
 ) -> LogValue:
     """Permanent of the displacement weight matrix on a finite quotient.
 
@@ -491,12 +491,12 @@ def torus_permanent(
     bijections of the quotient with displacements in the projected support.
     Requires distinct displacements to stay distinct on the quotient.
 
+    The ``sweep`` backend (the default) splits the sites into the connected
+    components of the site-target graph and multiplies their permanents.
     When every displacement flips coordinate-sum parity and all moduli are
-    even, the parity two-coloring descends to the quotient, bijections split
-    into an even-to-odd and an odd-to-even part, and the permanent factors
-    into two half-size permanents. That fast path is what makes large
-    alternating quotients (8x8 and beyond) tractable; set factorize=False to
-    force the generic sweep for cross-checks.
+    even, the even and the odd sites fall into different components, which
+    is what makes large alternating quotients (8x8 and beyond) tractable.
+    The ``dfs`` backend backtracks over the whole quotient, as a cross-check.
     """
     A = f.support()
     if quotient.dim != f.dim:
@@ -513,54 +513,26 @@ def torus_permanent(
         normalize = None
     else:
         normalize = max(abs(c) for c in reduced.values())
-    parity_flipping = all(sum(a) % 2 == 1 for a in reduced) and all(
-        n % 2 == 0 for n in quotient.moduli
-    )
-    if factorize is None:
-        factorize = parity_flipping and backend in ("auto", "sweep")
-    if factorize and not parity_flipping:
-        raise ValueError("factorized evaluation needs parity-flipping "
-                         "displacements and even moduli")
-
-    def run(sites, col_index, ncols, weights_scaled):
-        disp = sorted(weights_scaled)
-        rows = [
-            [(col_index[quotient.reduce(add(s, a))], weights_scaled[a]) for a in disp]
-            for s in sites
-        ]
-        required_mask = (1 << ncols) - 1
-        if backend == "dfs":
-            return _dfs_permanent(rows, required_mask, use_exact, budget)
-        return _sweep(rows, required_mask, use_exact, budget)
-
-    weights = {
-        a: (c / normalize if normalize else c) for a, c in reduced.items()
-    }
-    if factorize:
-        evens = [p for p in quotient.points() if sum(p) % 2 == 0]
-        odds = [p for p in quotient.points() if sum(p) % 2 == 1]
-        odd_index = {p: j for j, p in enumerate(odds)}
-        even_index = {p: j for j, p in enumerate(evens)}
-        half1 = run(evens, odd_index, len(odds), weights)
-        half2 = run(odds, even_index, len(evens), weights)
-        raw = half1 * half2
+    weights = {a: (c / normalize if normalize else c) for a, c in reduced.items()}
+    sites = quotient.points()
+    index = {p: j for j, p in enumerate(sites)}
+    rows = _rows(sites, weights, index, quotient.reduce)
+    required_mask = (1 << len(sites)) - 1
+    if backend == "dfs":
+        raw = _dfs_permanent(rows, required_mask, use_exact, budget)
     else:
-        sites = quotient.points()
-        full_index = {p: j for j, p in enumerate(sites)}
-        raw = run(sites, full_index, quotient.size, weights)
+        raw = _sweep(rows, required_mask, use_exact, budget)
     return _scaled_logvalue(raw, normalize, quotient.size)
 
 
 def matrix_permanent(
     M, backend: str = "auto", exact: bool = False, budget: int = DEFAULT_BUDGET
 ):
-    """Permanent of a dense matrix or a WeightedBipartite (no coverage).
+    """Permanent of a dense matrix (no coverage).
 
     Auto backend: Gray-code Ryser for small dense matrices, the sweep kernel
     for sparse or wide ones.
     """
-    if isinstance(M, WeightedBipartite):
-        M = M.matrix
     M = np.asarray(M)
     m, n = M.shape
     if m > n:

@@ -197,7 +197,9 @@ class TestPermanent:
         assert "single window size" in err
 
     def test_hard_capacity_exit_3(self, capsys):
-        wide = '{"dim":1,"terms":[{"exp":[0],"coef":1},{"exp":[15],"coef":1}]}'
+        # 1 + u^14 + u^15 is connected on the window, with a 14-target frontier
+        wide = ('{"dim":1,"terms":[{"exp":[0],"coef":1},{"exp":[14],"coef":1},'
+                '{"exp":[15],"coef":1}]}')
         code, _, err = run(capsys, ["permanent", "--inline", wide,
                                     "--windows", "20", "--budget", "50"])
         assert code == 3
@@ -278,14 +280,16 @@ class TestCompare:
         assert "positive" in err
 
     def test_no_window_in_budget_exit_3(self, capsys):
-        code, out, err = run(capsys, ["compare", "dimer", "--budget", "50"])
+        # the 2x2 dimer window takes 32 nodes
+        code, out, err = run(capsys, ["compare", "dimer", "--budget", "20"])
         assert code == 3
         assert out == ""
         assert err.startswith("capacity budget exceeded: no window fits")
         assert "2x2[admissible]" in err and "6x6[admissible]" in err
 
     def test_partly_skipped_windows_exit_3(self, capsys):
-        code, out, err = run(capsys, ["compare", "dimer", "--budget", "2000"])
+        # 2x2 takes 32 nodes, 4x4 664 and 6x6 6612
+        code, out, err = run(capsys, ["compare", "dimer", "--budget", "500"])
         assert code == 3
         payload = json.loads(out)
         assert list(payload) == ["command", "family", "params", "per_estimate_low",

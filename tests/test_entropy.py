@@ -144,8 +144,8 @@ class TestTransferSectors:
             "import sys, latperm.cli\n"
             "from latperm import GroupRingElement, transfer_pressure\n"
             "transfer_pressure(GroupRingElement(1, {(0,): 1, (13,): 1, (14,): 1}))\n"
-            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.linalg')"
-            " if m in sys.modules))\n"
+            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.linalg',"
+            " 'scipy.sparse.csgraph') if m in sys.modules))\n"
         )
         src = str(Path(entropy.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

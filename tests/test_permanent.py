@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latperm.groupring import CapacityError, GroupRingElement, TorusQuotient, Window
+from latperm.groupring import (
+    CapacityError,
+    GroupRingElement,
+    TorusQuotient,
+    Window,
+    dilate,
+    interior,
+    sub,
+)
 from latperm.patterns import enumerate_injective
 from latperm.permanent import (
     LogValue,
-    bipartite_structure,
+    _dfs_permanent,
+    _rows,
+    _sweep,
     bregman_bound,
     det_identity_check,
     doubly_stochastic_extension,
@@ -170,6 +180,83 @@ class TestWindowPermanent:
             assert max(vals) - min(vals) <= 1e-10 * max(1.0, max(vals))
 
 
+class TestComponents:
+    DIMER = elem(2, {(1, 0): 2, (-1, 0): 1, (0, 1): 3, (0, -1): 1})
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, 5)
+                                     if n * m <= 12])
+    def test_dimer_windows_match_dfs(self, n, m):
+        # even and odd sites claim disjoint targets, so the sweep runs two
+        # components; dfs backtracks over the whole window
+        F = Window.box([0, 0], [n, m])
+        for mode in ("admissible", "injective"):
+            want = window_permanent(self.DIMER, F, mode=mode, backend="dfs").linear
+            assert window_permanent(self.DIMER, F, mode=mode).linear == want
+            approx = window_permanent(self.DIMER, F, mode=mode, exact=False).linear
+            assert approx == pytest.approx(want, rel=1e-12)
+
+    def test_dimer_four_by_four_matches_dfs_per_parity(self):
+        # a full dfs takes seconds (admissible) or blows 10^8 nodes
+        # (injective) here, so each parity class of sites is backtracked on
+        # its own and the two counts multiplied
+        F = Window.box([0, 0], [4, 4])
+        A = self.DIMER.support()
+        index = {t: j for j, t in enumerate(dilate(F, A).points)}
+        for mode in ("admissible", "injective"):
+            for exact in (True, False):
+                want = 1
+                for parity in (0, 1):
+                    # sites of one parity claim the targets of the other
+                    sites = [s for s in F.points if sum(s) % 2 == parity]
+                    req = 0
+                    if mode == "admissible":
+                        for t in interior(F, A).points:
+                            if sum(t) % 2 != parity:
+                                req |= 1 << index[t]
+                    rows = _rows(sites, self.DIMER.terms, index)
+                    want *= _dfs_permanent(rows, req, exact, 10**8)
+                got = window_permanent(self.DIMER, F, mode=mode, exact=exact)
+                if exact:
+                    assert got.linear == want
+                else:
+                    assert got.linear == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_diagonal_matrix_matches_ryser(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(2, 3), (0, 2), (3, 3), (1, 2)]
+        if seed % 2:
+            shapes.insert(1, (3, 2))  # more rows than columns: permanent 0
+        m = sum(r for r, _ in shapes)
+        n = sum(c for _, c in shapes)
+        M = np.zeros((m, n), dtype=int)
+        i = j = 0
+        for r, c in shapes:
+            M[i:i + r, j:j + c] = rng.integers(1, 4, size=(r, c))
+            i, j = i + r, j + c
+        want = matrix_permanent(M, backend="ryser", exact=True)
+        assert (want == 0) == bool(seed % 2)
+        assert matrix_permanent(M, backend="sweep", exact=True) == want
+        assert matrix_permanent(M.astype(float), backend="sweep") == \
+            pytest.approx(want, rel=1e-12)
+
+    def test_required_target_outside_every_row_is_zero(self):
+        rows = [[(0, 1), (1, 2)], [(1, 1)]]
+        assert _sweep(rows, 0b011, True, 100) == 1
+        assert _sweep(rows, 0b111, True, 100) == 0
+        assert _sweep(rows, 0b111, False, 100) == 0.0
+
+    def test_components_share_one_node_budget(self):
+        # one 3x3 all-ones block takes 21 nodes, two of them 42
+        block = np.ones((3, 3), dtype=int)
+        two = np.zeros((6, 6), dtype=int)
+        two[:3, :3] = two[3:, 3:] = 1
+        assert matrix_permanent(block, backend="sweep", exact=True, budget=21) == 6
+        with pytest.raises(CapacityError):
+            matrix_permanent(two, backend="sweep", exact=True, budget=41)
+        assert matrix_permanent(two, backend="sweep", exact=True, budget=42) == 36
+
+
 class TestSubadditivity:
     @given(weighted_instance(dim=1, max_window=3),
            st.lists(st.tuples(st.integers(-2, 2)), min_size=1, max_size=3, unique=True))
@@ -275,31 +362,27 @@ class TestTorusPermanent:
                 M[s, (s + a[0]) % 7] = c
         assert torus_permanent(f, q).linear == matrix_permanent(M, exact=True)
 
-    def test_parity_factorization_agrees_with_generic_kernel(self):
+    def test_sweep_agrees_with_dfs(self):
+        # alternating quotients split into an even and an odd component in
+        # the sweep; dfs backtracks over the whole quotient
         f = ones([[1, 0], [-1, 0], [0, 1], [0, -1]])
         g = elem(2, {(1, 0): 2, (-1, 0): 2, (0, 1): 3, (0, -1): 3})
         for h in (f, g):
-            for moduli in ((4, 4), (6, 4)):
-                a = torus_permanent(h, TorusQuotient(moduli), factorize=True)
-                b = torus_permanent(h, TorusQuotient(moduli), factorize=False)
-                assert a.linear == b.linear
+            a = torus_permanent(h, TorusQuotient((4, 4)))
+            b = torus_permanent(h, TorusQuotient((4, 4)), backend="dfs")
+            assert a.linear == b.linear
         h1 = elem(1, {(-1,): 1, (1,): 1})
-        a = torus_permanent(h1, TorusQuotient((6,)), factorize=True)
-        b = torus_permanent(h1, TorusQuotient((6,)), factorize=False)
-        assert a.linear == b.linear
-
-    def test_factorization_requires_alternating_structure(self):
-        f = ones([[0], [1]])
-        with pytest.raises(ValueError):
-            torus_permanent(f, TorusQuotient((4,)), factorize=True)
+        a = torus_permanent(h1, TorusQuotient((6,)))
+        b = torus_permanent(h1, TorusQuotient((6,)), backend="dfs")
+        assert a.linear == b.linear == 4
 
     def test_eight_by_eight_alternating_quotient(self):
         f = ones([[1, 0], [-1, 0], [0, 1], [0, -1]])
         v = torus_permanent(f, TorusQuotient((8, 8)))
         assert v.linear == 311853312 ** 2
 
-    @pytest.mark.parametrize("a,b,m,n", [(1, 1, 4, 4), (1, 1, 6, 8), (1, 1, 8, 8),
-                                         (3, 4, 8, 8)])
+    @pytest.mark.parametrize("a,b,m,n", [(1, 1, 4, 4), (1, 1, 6, 4), (2, 3, 6, 4),
+                                         (1, 1, 6, 8), (1, 1, 8, 8), (3, 4, 8, 8)])
     def test_dimer_torus_matches_kasteleyn(self, a, b, m, n):
         f = elem(2, {(1, 0): a, (-1, 0): a, (0, 1): b, (0, -1): b})
         want = oracles.kasteleyn_torus(a, b, m, n)
@@ -405,12 +488,11 @@ class TestDoublyStochastic:
     def test_rows_of_extension_match_bipartite_matrix(self):
         f = elem(1, {(0,): 0.25, (1,): 0.75})
         F = Window.of([[0], [2]])
-        B = bipartite_structure(f, F)
         C, ground = doubly_stochastic_extension(f, F)
         pos = {t: i for i, t in enumerate(ground)}
-        for i, s in enumerate(B.rows):
-            for j, t in enumerate(B.cols):
-                assert C[pos[s], pos[t]] == pytest.approx(B.matrix[i, j])
+        for s in F.points:
+            for t in dilate(F, f.support()).points:
+                assert C[pos[s], pos[t]] == pytest.approx(f.coef(sub(t, s)))
 
 
 class TestBounds:
