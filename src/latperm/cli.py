@@ -33,6 +33,7 @@ import numpy as np
 from .entropy import (
     EstimateRow,
     WindowSchedule,
+    _run_jobs,
     default_tori,
     estimate_csv,
     estimate_report,
@@ -65,15 +66,12 @@ from .permanent import (
     window_permanent,
 )
 
-_COMMANDS = ("entropy", "pressure", "permanent", "mahler", "compare",
-             "periodic", "verify")
-
 _VERIFY_SEED = 20240816
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One resolved CLI invocation."""
+    """One resolved CLI invocation; the defaults are the flags' defaults."""
 
     command: str
     input_path: str | None = None
@@ -90,7 +88,7 @@ class RunConfig:
     params: str | None = None
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        if self.command not in _DISPATCH:
             raise ValueError(f"unknown command {self.command!r}")
         if self.out_format not in ("json", "csv"):
             raise ValueError("format must be 'json' or 'csv'")
@@ -382,17 +380,9 @@ def cmd_periodic(cfg: RunConfig) -> tuple[str, int]:
         moduli = tuple(q.moduli for q in default_tori(f))
     if not moduli:
         raise ValueError("no usable torus moduli for this element")
-    rows = []
-    skipped: list[str] = []
-    for mod in moduli:
-        q = TorusQuotient(mod)
-        label = torus_label(q)
-        try:
-            lv = torus_permanent(f, q, budget=cfg.budget)
-        except CapacityError as e:
-            skipped.append(f"{label}: {e}")
-            continue
-        rows.append((label, q.size, lv))
+    done, skipped = _run_jobs(lambda q: torus_permanent(f, q, budget=cfg.budget),
+                              [TorusQuotient(m) for m in moduli], torus_label, cfg.threads)
+    rows = [(torus_label(q), q.size, lv) for q, lv in done]
     code = 3 if skipped else 0
     if cfg.out_format == "csv":
         return estimate_csv(EstimateRow(label, size, lv.log, lv.normalized(size), "torus")
@@ -673,29 +663,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input_path", None),
-        inline=getattr(args, "inline", None),
-        dim=getattr(args, "dim", None),
-        windows=tuple(getattr(args, "windows", ()) or ()),
-        tori=tuple(getattr(args, "tori", ()) or ()),
-        grid=getattr(args, "grid", 64),
-        eps=getattr(args, "eps", 1e-10),
-        out_format=getattr(args, "out_format", "json"),
-        threads=getattr(args, "threads", 1),
-        budget=getattr(args, "budget", DEFAULT_BUDGET),
-        family=getattr(args, "family", None),
-        params=getattr(args, "params", None),
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        # every subcommand defines the common flags; only compare has family and params
+        cfg = RunConfig(**vars(args))
         text, code = _DISPATCH[cfg.command](cfg)
     except CapacityError as e:
         print(f"capacity budget exceeded: {e}", file=sys.stderr)

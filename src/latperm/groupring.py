@@ -234,11 +234,6 @@ class GroupRingElement:
     def is_integer(self) -> bool:
         return all(isinstance(c, int) or float(c).is_integer() for c in self.terms.values())
 
-    def as_integer(self) -> "GroupRingElement":
-        if not self.is_integer():
-            raise ValueError("element has non-integer coefficients")
-        return GroupRingElement(self.dim, {p: int(c) for p, c in self.terms.items()})
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,

@@ -44,7 +44,7 @@ from .groupring import (
 )
 from .patterns import DEFAULT_BUDGET, enumerate_injective, enumerate_with_image, pattern_sign
 
-_KEY_BITS = 62  # int64 keys while at most this many targets are live
+_KEY_BITS = 62  # int64 keys while every key bit is below this
 _VALUE_LIMIT = 1 << 62  # exact int64 values stay below this
 _RYSER_MAX_COLS = 24
 
@@ -106,72 +106,28 @@ def _relevance(rows: list[list[tuple[int, object]]], nrows: int) -> list[int]:
     return rel
 
 
-def _bit_positions(mask: int) -> list[int]:
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
-
-
-# row v holds the eight bits of the byte v
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
-
-
-def _remap(keys: np.ndarray, moves: list[tuple[int, int]], wide: bool) -> np.ndarray:
-    """Move bit p of every key to bit q for each (p, q) in moves; drop the rest.
-
-    The result is int64, or an object array of Python ints when ``wide``.
-    Moves keep their order, so a common offset is one shift; otherwise each
-    source byte goes through a 256-entry lookup table.
-    """
-    dtype = object if wide else np.int64
-    if not moves:
-        return np.zeros(keys.size, dtype=dtype)
-    if wide and keys.dtype != object:
-        keys = keys.astype(object)
-    shift = moves[0][1] - moves[0][0]
-    if all(q - p == shift for p, q in moves):
-        kept = 0
-        for p, _ in moves:
-            kept |= 1 << p
-        out = keys & kept
-        out = out << shift if shift >= 0 else out >> -shift
-        return out if out.dtype == dtype else out.astype(dtype)
-    by_byte: dict[int, list[tuple[int, int]]] = {}
-    for p, q in moves:
-        by_byte.setdefault(p >> 3, []).append((p & 7, q))
-    out = np.zeros(keys.size, dtype=dtype)
-    for b, bits in by_byte.items():
-        contrib = np.zeros(8, dtype=dtype)
-        for t, q in bits:
-            contrib[t] = 1 << q
-        idx = (keys >> (8 * b)) & 255
-        out |= (_BYTE_BITS @ contrib)[idx.astype(np.intp, copy=False)]
-    return out
-
-
-def _candidates(keys, vals, row, pos, npos, need, unclaimed):
-    """Keys (bits placed by npos) and values of every (state, choice) pair
-    that claims a free target and leaves no dying required target
-    unclaimed. Each choice copies only its admissible states, straight into
-    one preallocated pair of arrays: on wide tori these arrays set the peak
+def _candidates(keys, vals, base, choices, need):
+    """Keys and values of every (state, choice) pair that claims a free
+    target and leaves no dying required target unclaimed. A choice
+    (test, put, w) takes the states whose ``test`` bit is clear and whose
+    ``need`` bits are set, adds ``put`` to their ``base`` key and multiplies
+    by w. Each choice copies only its admissible states, straight into one
+    preallocated pair of arrays: on wide tori these arrays set the peak
     memory."""
-    base = _remap(keys, [(p, npos[j]) for j, p in pos.items() if j in npos],
-                  len(npos) > _KEY_BITS)
     picks = []
-    for j, w in row:
-        if unclaimed and unclaimed != 1 << j:
-            continue
-        bit = 1 << pos[j] if j in pos else 0
-        if need | bit:
-            sel = (keys & (need | bit)) == need & ~bit
+    for test, put, w in choices:
+        if need | test:
+            sel = (keys & (need | test)) == need & ~test
             count = int(np.count_nonzero(sel))
         else:
             sel = None
             count = keys.size
-        picks.append((sel, count, npos.get(j), w))
+        picks.append((sel, count, put, w))
     total = sum(count for _, count, _, _ in picks)
     kk = np.empty(total, dtype=base.dtype)
     vv = np.empty(total, dtype=vals.dtype)
     start = 0
-    for sel, count, q, w in picks:
+    for sel, count, put, w in picks:
         nk = kk[start:start + count]
         nv = vv[start:start + count]
         start += count
@@ -181,18 +137,21 @@ def _candidates(keys, vals, row, pos, npos, need, unclaimed):
         else:
             np.compress(sel, base, out=nk)
             np.compress(sel, vals, out=nv)
-        if q is not None:
-            nk |= 1 << q
+        if put:
+            nk |= put
         nv *= w
     return kk, vv
 
 
-def _components(masks: list[int]) -> list[tuple[list[int], int]]:
+def _components(rows) -> list[tuple[list[int], int]]:
     """Connected components of the site-target graph, as (row indices in
     site order, target mask) pairs ordered by their first row. Two rows are
     joined when they share a target."""
     groups: list[tuple[int, list[int]]] = []
-    for k, mask in enumerate(masks):
+    for k, row in enumerate(rows):
+        mask = 0
+        for j, _ in row:
+            mask |= 1 << j
         members = [k]
         for gmask, gmembers in [g for g in groups if g[0] & mask]:
             mask |= gmask
@@ -212,7 +171,7 @@ def _sweep(rows, required_mask: int, exact: bool, budget: int):
     first component whose value is 0.
     """
     zero = 0 if exact else 0.0
-    parts = _components([_row_mask(row) for row in rows])
+    parts = _components(rows)
     # the component masks are disjoint, so their sum is their union
     if required_mask & ~sum(mask for _, mask in parts):
         return zero
@@ -227,33 +186,30 @@ def _sweep(rows, required_mask: int, exact: bool, budget: int):
     return total
 
 
-def _row_mask(row) -> int:
-    mask = 0
-    for j, _ in row:
-        mask |= 1 << j
-    return mask
-
-
 def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int):
     """Frontier DP over the rows, vectorized over the states of each step.
 
     A state is the set of claimed targets that a later row can still claim,
-    kept as a key whose bit ``pos[j]`` stands for the live target j. Keys are
-    int64 while at most 62 targets are live, Python ints beyond. Required
-    targets are checked at the row after which no row can claim them. Exact
-    values start as int64 and become Python ints at the first row whose
-    bound sum(|values|) * sum(|weights|) on the next values could reach
-    2^62. A node is one (state, choice) pair, counted before a row is built;
-    ``nodes`` counts those already spent, and the value comes back with the
-    new count.
+    kept as a key with one bit per live target. A target takes the lowest
+    free bit at its first row and keeps it until its last row, so keys never
+    move: a row maps a key to ``key & keep | put``, where ``keep`` holds the
+    bits of the targets that stay live and ``put`` is the bit of the chosen
+    target if it stays live. Being lowest-free, no bit is higher than the
+    peak number of live targets; keys are int64 while every bit held is
+    below 62, Python ints otherwise. Required targets are checked at their
+    last row. Exact values start as int64 and become Python ints at the
+    first row whose bound sum(|values|) * sum(|weights|) on the next values
+    could reach 2^62. A node is one (state, choice) pair, counted before a
+    row is built; ``nodes`` counts those already spent, and the value comes
+    back with the new count.
     """
     nrows = len(rows)
-    rel = _relevance(rows, nrows)
+    last = {j: k for k, row in enumerate(rows) for j, _ in row}
     zero = 0 if exact else 0.0
     keys = np.zeros(1, dtype=np.int64)
     vals = np.ones(1, dtype=np.int64 if exact else np.float64)
-    pos: dict[int, int] = {}
-    live = 0
+    bit: dict[int, int] = {}  # target -> its key bit; dead entries are never read
+    used = 0  # the bits of the live targets
     for k, row in enumerate(rows):
         nodes += keys.size * len(row)
         if nodes > budget:
@@ -265,16 +221,30 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int):
             bound = max(int(np.abs(vals).sum()), 1) * sum(abs(w) for _, w in row)
             if bound >= _VALUE_LIMIT:
                 vals = vals.astype(object)
-        # every target that dies here is one of this row's targets, so an
-        # unclaimed one must be claimed by the row's choice
-        dying = rel[k] & ~rel[k + 1] & required_mask
-        unclaimed = dying & ~live
-        need = 0
-        for j in _bit_positions(dying & live):
-            need |= 1 << pos[j]
-        nxt = (live | _row_mask(row)) & rel[k + 1]
-        npos = {j: q for q, j in enumerate(_bit_positions(nxt))}
-        kk, vv = _candidates(keys, vals, row, pos, npos, need, unclaimed)
+        # a required target dying here must be claimed in the state already
+        # (need) or, if no earlier row reaches it, by this row (unclaimed)
+        tests = [bit.get(j, 0) for j, _ in row]
+        need = unclaimed = 0
+        for (j, _), b in zip(row, tests):
+            if last[j] == k:
+                used &= ~b
+                if required_mask >> j & 1:
+                    if b:
+                        need |= b
+                    else:
+                        unclaimed |= 1 << j
+        keep = used
+        choices = []
+        for (j, w), b in zip(row, tests):
+            put = b if last[j] > k else 0
+            if last[j] > k and not b:
+                put = bit[j] = ~used & (used + 1)
+                used |= put
+            if not unclaimed or unclaimed == 1 << j:
+                choices.append((b, put, w))
+        # convert keys & keep, not keys: a dying bit may sit above 62
+        base = (keys & keep).astype(object if used >> _KEY_BITS else np.int64, copy=False)
+        kk, vv = _candidates(keys, vals, base, choices, need)
         if kk.size == 0:
             return zero, nodes
         order = np.argsort(kk, kind="stable")
@@ -283,8 +253,6 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int):
         starts = np.flatnonzero(np.concatenate(([True], kk[1:] != kk[:-1])))
         keys = kk[starts]
         vals = np.add.reduceat(vv, starts)
-        pos = npos
-        live = nxt
     total = vals.sum()
     return (int(total) if exact else float(total)), nodes
 
@@ -397,8 +365,21 @@ def _rows(sites, weights: dict, index: dict, reduce=None):
     ]
 
 
-def _pick_exact(f: GroupRingElement, exact: bool | None) -> bool:
-    return f.is_integer() if exact is None else exact
+def _weights(f: GroupRingElement, terms: dict, exact: bool | None):
+    """The sweep weights of f's terms (by displacement, projected on a
+    torus) and the scale of the float path.
+
+    Exact weights are Python ints, and a non-integer coefficient raises
+    ValueError; exact=None picks them when every coefficient is an integer.
+    Float weights are the terms divided by the scale max |c|.
+    """
+    integer = f.is_integer()
+    if integer if exact is None else exact:
+        if not integer:
+            raise ValueError("element has non-integer coefficients")
+        return {a: int(c) for a, c in terms.items()}, None
+    normalize = float(max(abs(c) for c in terms.values()))
+    return {a: c / normalize for a, c in terms.items()}, normalize
 
 
 def window_permanent(
@@ -424,18 +405,12 @@ def window_permanent(
         return LogValue.from_linear(1 if len(F) == 0 else 0)
     if not f.support().point_set <= A.point_set:
         raise ValueError("support of f must lie inside A")
-    use_exact = _pick_exact(f, exact)
-    if use_exact:
-        f = f.as_integer()
-        normalize = None
-    else:
-        normalize = f.norm_inf()
-    weights = {a: (c / normalize if normalize else c) for a, c in f.terms.items()}
+    weights, normalize = _weights(f, f.terms, exact)
+    use_exact = normalize is None
     index = {t: j for j, t in enumerate(dilate(F, A).points)}
     rows = _rows(F.points, weights, index)
-    req_mask = 0
-    if mode == "admissible":
-        req_mask = sum(1 << index[t] for t in interior(F, A).points)
+    required = [index[t] for t in interior(F, A).points] if mode == "admissible" else []
+    req_mask = sum(1 << j for j in required)
 
     if backend in ("auto", "sweep"):
         raw = _sweep(rows, req_mask, use_exact, budget)
@@ -446,7 +421,7 @@ def window_permanent(
         for i, row in enumerate(rows):
             for j, w in row:
                 M[i, j] = w
-        raw = _inclusion_exclusion_permanent(M, _bit_positions(req_mask), use_exact)
+        raw = _inclusion_exclusion_permanent(M, required, use_exact)
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -489,15 +464,20 @@ def torus_permanent(
 
     Every quotient point is a site and must also be hit, so patterns are
     bijections of the quotient with displacements in the projected support.
-    Requires distinct displacements to stay distinct on the quotient.
+    Requires distinct displacements to stay distinct on the quotient. The
+    value is exact or scaled like in window_permanent; exact=True with a
+    non-integer coefficient raises ValueError.
 
     The ``sweep`` backend (the default) splits the sites into the connected
     components of the site-target graph and multiplies their permanents.
     When every displacement flips coordinate-sum parity and all moduli are
     even, the even and the odd sites fall into different components, which
     is what makes large alternating quotients (8x8 and beyond) tractable.
-    The ``dfs`` backend backtracks over the whole quotient, as a cross-check.
+    The ``dfs`` backend backtracks over the whole quotient, as a cross-check;
+    any other backend raises ValueError.
     """
+    if backend not in ("auto", "sweep", "dfs"):
+        raise ValueError(f"unknown backend {backend!r}")
     A = f.support()
     if quotient.dim != f.dim:
         raise ValueError("quotient dimension does not match element")
@@ -506,22 +486,14 @@ def torus_permanent(
         raise ValueError(
             f"displacements {pair[0]} and {pair[1]} collide modulo {quotient.moduli}"
         )
-    use_exact = _pick_exact(f, exact)
-    reduced = project(f, quotient)
-    if use_exact:
-        reduced = {p: int(c) for p, c in reduced.items()}
-        normalize = None
-    else:
-        normalize = max(abs(c) for c in reduced.values())
-    weights = {a: (c / normalize if normalize else c) for a, c in reduced.items()}
+    weights, normalize = _weights(f, project(f, quotient), exact)
+    use_exact = normalize is None
     sites = quotient.points()
     index = {p: j for j, p in enumerate(sites)}
     rows = _rows(sites, weights, index, quotient.reduce)
     required_mask = (1 << len(sites)) - 1
-    if backend == "dfs":
-        raw = _dfs_permanent(rows, required_mask, use_exact, budget)
-    else:
-        raw = _sweep(rows, required_mask, use_exact, budget)
+    kernel = _dfs_permanent if backend == "dfs" else _sweep
+    raw = kernel(rows, required_mask, use_exact, budget)
     return _scaled_logvalue(raw, normalize, quotient.size)
 
 

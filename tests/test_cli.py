@@ -334,6 +334,25 @@ class TestPeriodic:
         assert code == 2
         assert "collide" in err
 
+    def test_threads_do_not_change_output(self, capsys):
+        unit = ('{"dim":2,"terms":[{"exp":[1,0],"coef":1},{"exp":[-1,0],"coef":1},'
+                '{"exp":[0,1],"coef":1},{"exp":[0,-1],"coef":1}]}')
+        # 6x6, 4x6 and 3x4 blow the budget, 4x4 and 3x3 fit
+        base = ["periodic", "--inline", unit, "--tori", "4x4,6x6,4x6,3x4,3x3",
+                "--budget", "3000"]
+        outs = {}
+        for fmt in ("json", "csv"):
+            for threads in ("1", "3"):
+                outs[fmt, threads] = run(capsys, base + ["--format", fmt,
+                                                         "--threads", threads])
+            assert outs[fmt, "1"] == outs[fmt, "3"]
+        code, out, _ = outs["json", "3"]
+        assert code == 3
+        payload = json.loads(out)
+        assert [row["torus"] for row in payload["tori"]] == ["4x4", "3x3"]
+        assert payload["tori"][0]["count"] == 73984
+        assert [s.split(":")[0] for s in payload["capacity_skipped"]] == ["6x6", "4x6", "3x4"]
+
     def test_two_dim_quotients(self, capsys):
         code, out, _ = run(capsys, ["periodic", "--inline", L_SHAPE,
                                     "--tori", "2x2,3x3"])

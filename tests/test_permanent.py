@@ -257,6 +257,45 @@ class TestComponents:
         assert matrix_permanent(two, backend="sweep", exact=True, budget=42) == 36
 
 
+@st.composite
+def sparse_rows(draw):
+    """Up to 7 rows over 9 targets with up to 4 entries each, and a random
+    required mask: targets die out of index order, and a bit freed by a
+    dying target can be taken by a new one in the same row."""
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        targets = draw(st.lists(st.integers(0, 8), max_size=4, unique=True))
+        rows.append([(j, draw(st.integers(-3, 3).filter(lambda w: w != 0)))
+                     for j in targets])
+    return rows, draw(st.integers(0, (1 << 9) - 1))
+
+
+class TestStableKeyBits:
+    @given(sparse_rows())
+    @settings(deadline=None, max_examples=300)
+    def test_sweep_matches_dfs_on_sparse_rows(self, inst):
+        rows, req = inst
+        want = _dfs_permanent(rows, req, True, 10**7)
+        assert _sweep(rows, req, True, 10**7) == want
+        frows = [[(j, float(w)) for j, w in row] for row in rows]
+        assert _sweep(frows, req, False, 10**7) == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("req", [0, 1 << 65 | 1 << 2])
+    def test_frontier_above_62_bits_then_narrow(self, req):
+        # the first two rows keep 70 targets live, so the keys turn into
+        # Python ints; then targets 10..69 die and the keys return to int64
+        # with bits 0..9, while the dying bits still sit above 62
+        rows = [[(j, 1 + j % 3) for j in range(70)],
+                [(j, 1 + j % 2) for j in range(69, -1, -1)],
+                [(j, 2) for j in range(10)],
+                [(j, 1) for j in range(0, 10, 2)]]
+        want = _dfs_permanent(rows, req, True, 10**7)
+        assert want > 0
+        assert _sweep(rows, req, True, 10**7) == want
+        frows = [[(j, float(w)) for j, w in row] for row in rows]
+        assert _sweep(frows, req, False, 10**7) == pytest.approx(want, rel=1e-12)
+
+
 class TestSubadditivity:
     @given(weighted_instance(dim=1, max_window=3),
            st.lists(st.tuples(st.integers(-2, 2)), min_size=1, max_size=3, unique=True))
@@ -375,6 +414,20 @@ class TestTorusPermanent:
         a = torus_permanent(h1, TorusQuotient((6,)))
         b = torus_permanent(h1, TorusQuotient((6,)), backend="dfs")
         assert a.linear == b.linear == 4
+
+    def test_exact_mode_rejects_non_integer_coefficients(self):
+        f = elem(1, {(0,): 1.5, (1,): 1})
+        q = TorusQuotient((4,))
+        # the identity and the rotation: 1.5^4 + 1
+        assert torus_permanent(f, q).linear == pytest.approx(6.0625, rel=1e-12)
+        with pytest.raises(ValueError, match="non-integer"):
+            torus_permanent(f, q, exact=True)
+
+    @pytest.mark.parametrize("backend", ["ryser", "swep"])
+    def test_unknown_backend_is_rejected(self, backend):
+        f = ones([[0], [1]])
+        with pytest.raises(ValueError, match="unknown backend"):
+            torus_permanent(f, TorusQuotient((4,)), backend=backend)
 
     def test_eight_by_eight_alternating_quotient(self):
         f = ones([[1, 0], [-1, 0], [0, 1], [0, -1]])
