@@ -256,8 +256,7 @@ def _estimate_command(cfg: RunConfig, f: GroupRingElement) -> tuple[str, int]:
     sizes = cfg.windows or _default_sizes(f.dim)
     schedule = WindowSchedule.boxes(f.dim, sizes)
     tori = [TorusQuotient(m) for m in cfg.tori] if cfg.tori else None
-    report = estimate_report(f, schedule, tori=tori, budget=cfg.budget,
-                             threads=cfg.threads)
+    report = estimate_report(f, schedule, tori=tori, budget=cfg.budget)
     code = 3 if report.capacity_skipped else 0
     if cfg.out_format == "csv":
         return report.to_csv(), code
@@ -381,7 +380,7 @@ def cmd_periodic(cfg: RunConfig) -> tuple[str, int]:
     if not moduli:
         raise ValueError("no usable torus moduli for this element")
     done, skipped = _run_jobs(lambda q: torus_permanent(f, q, budget=cfg.budget),
-                              [TorusQuotient(m) for m in moduli], torus_label, cfg.threads)
+                              [TorusQuotient(m) for m in moduli], torus_label)
     rows = [(torus_label(q), q.size, lv) for q, lv in done]
     code = 3 if skipped else 0
     if cfg.out_format == "csv":
@@ -638,7 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="quadrature floor for log singularities")
         sp.add_argument("--format", dest="out_format",
                         choices=("json", "csv"), default="json")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="quadrature threads for mahler and compare")
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="node budget before a capacity error")
 

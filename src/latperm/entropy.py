@@ -12,11 +12,9 @@ sandwich everything.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .groupring import (
     CapacityError,
@@ -101,24 +99,15 @@ class EstimateReport:
         return estimate_csv(self.rows)
 
 
-def _run_jobs(run, jobs, label, threads: int):
+def _run_jobs(run, jobs, label):
     """(job, run(job)) for each job that fits the budget, in input order,
-    and a "label: message" line for each whose run raised CapacityError.
-    The jobs run one after another, or on a thread pool when threads > 1."""
-
-    def attempt(job):
+    and a "label: message" line for each whose run raised CapacityError."""
+    done, skipped = [], []
+    for job in jobs:
         try:
-            return job, run(job), None
+            done.append((job, run(job)))
         except CapacityError as e:
-            return job, None, f"{label(job)}: {e}"
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(attempt, jobs))
-    else:
-        results = [attempt(job) for job in jobs]
-    done = [(job, value) for job, value, err in results if err is None]
-    skipped = [err for _, _, err in results if err is not None]
+            skipped.append(f"{label(job)}: {e}")
     return done, skipped
 
 
@@ -128,7 +117,6 @@ def upper_estimates(
     A: Window | None = None,
     modes: tuple[str, ...] = ("admissible", "injective"),
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> tuple[list[EstimateRow], list[str]]:
     """Normalized log pattern sums per window; every value upper-bounds the
     pressure. Windows whose kernel blows the node budget are skipped and
@@ -137,7 +125,7 @@ def upper_estimates(
     jobs = [(label, F, mode) for label, F in schedule for mode in modes]
     done, skipped = _run_jobs(
         lambda job: window_permanent(f, job[1], A=A, mode=job[2], budget=budget),
-        jobs, lambda job: f"{job[0]}[{job[2]}]", threads)
+        jobs, lambda job: f"{job[0]}[{job[2]}]")
     rows: list[EstimateRow] = []
     for (label, F, mode), v in done:
         name = label if mode == "admissible" else f"{label}-inj"
@@ -153,7 +141,6 @@ def torus_estimates(
     f: GroupRingElement,
     quotients,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> tuple[list[EstimateRow], list[str]]:
     """Normalized log permanents on finite quotients.
 
@@ -163,7 +150,7 @@ def torus_estimates(
     """
 
     done, skipped = _run_jobs(lambda q: torus_permanent(f, q, budget=budget),
-                              list(quotients), torus_label, threads)
+                              list(quotients), torus_label)
     rows = [EstimateRow(torus_label(q), q.size, v.log, v.normalized(q.size), "torus")
             for q, v in done]
     return rows, skipped
@@ -171,6 +158,26 @@ def torus_estimates(
 
 # ---------------------------------------------------------------------------
 # exact transfer matrix over Z
+
+
+@dataclass(frozen=True)
+class Block:
+    """A square matrix held as its entries: entry (dst[i], src[i]) is
+    weight[i]. B @ x adds each row's entries up in the order they are held."""
+
+    size: int
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.dst, weights=self.weight * x[self.src],
+                           minlength=self.size)
+
+    def dense(self) -> np.ndarray:
+        D = np.zeros((self.size, self.size))
+        np.add.at(D, (self.dst, self.src), self.weight)
+        return D
 
 
 @dataclass(frozen=True)
@@ -189,29 +196,33 @@ class TransferMatrix:
     """
 
     span: int
-    matrix: sp.csr_matrix
+    matrix: Block
 
     @property
     def size(self) -> int:
         return 1 << self.span
 
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        return self.matrix.dense()
 
-    def sectors(self) -> list[sp.csr_matrix]:
-        """The diagonal blocks, by increasing popcount; their spectra together
-        make up the spectrum of the whole matrix."""
+    def sectors(self) -> list[Block]:
+        """The diagonal blocks by increasing popcount, states renumbered by
+        rank in their sector; together their spectra are the whole spectrum."""
         states = np.arange(self.size)
         pop = np.zeros_like(states)
         for i in range(self.span):
             pop += (states >> i) & 1
-        order = np.argsort(pop, kind="stable")
-        cuts = np.concatenate(([0], np.cumsum(np.bincount(pop))))
-        P = self.matrix[order][:, order]
-        blocks = [P[a:b, a:b] for a, b in zip(cuts, cuts[1:])]
-        if sum(B.nnz for B in blocks) != self.matrix.nnz:
+        sizes = np.bincount(pop)
+        starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rank = np.empty_like(states)
+        rank[np.argsort(pop, kind="stable")] = states - starts
+        M = self.matrix
+        sector = pop[M.src]
+        if np.any(pop[M.dst] != sector):
             raise ArithmeticError("transfer matrix has entries between popcount sectors")
-        return blocks
+        keeps = (sector == k for k in range(len(sizes)))
+        return [Block(int(n), rank[M.src[keep]], rank[M.dst[keep]], M.weight[keep])
+                for n, keep in zip(sizes, keeps)]
 
 
 _TRANSFER_MAX_SPAN = 20
@@ -235,32 +246,31 @@ def transfer_matrix(f: GroupRingElement) -> TransferMatrix:
         )
     n = 1 << K
     states = np.arange(n)
-    rows, cols, data = [], [], []
+    src, dst, weight = [], [], []
     for a, c in shifted.items():
         # the target a must be free (a = K always is), and a step that does
         # not claim position zero needs it claimed already
         allowed = (states >> a) & 1 == 0
         if a:
             allowed &= states & 1 == 1
-        src = states[allowed]
-        rows.append((src | 1 << a) >> 1)
-        cols.append(src)
-        data.append(np.full(len(src), float(c)))
-    M = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return TransferMatrix(K, M)
+        s = states[allowed]
+        src.append(s)
+        dst.append((s | 1 << a) >> 1)
+        weight.append(np.full(len(s), float(c)))
+    # by increasing source state, so every row sums in column order
+    src = np.concatenate(src)
+    order = np.argsort(src, kind="stable")
+    return TransferMatrix(K, Block(n, src[order], np.concatenate(dst)[order],
+                                   np.concatenate(weight)[order]))
 
 
-def _power_iteration(B: sp.csr_matrix, tol: float,
-                     max_iter: int) -> tuple[float, bool]:
+def _power_iteration(B: Block, tol: float, max_iter: int) -> tuple[float, bool]:
     """Spectral radius estimate of a nonnegative matrix, and whether the
     iteration converged."""
     # power iteration on I + B: the shift washes out rotating spectra of
     # periodic chains; convergence is judged on the iterate residual, not on
     # successive eigenvalue estimates, which can plateau before settling
-    n = B.shape[0]
+    n = B.size
     x = np.full(n, 1.0 / n)
     lam = 0.0
     for _ in range(max_iter):
@@ -283,12 +293,9 @@ def _spectral_radius(T: TransferMatrix, tol: float = 1e-13,
     cross_check = T.size <= 1 << 10
     rho = 0.0
     for B in T.sectors():
-        if B.shape[0] == 1:
-            rho = max(rho, float(B[0, 0]))
-            continue
         lam, converged = _power_iteration(B, tol, max_iter)
         if cross_check:
-            dense = float(np.abs(np.linalg.eigvals(B.toarray())).max())
+            dense = float(np.abs(np.linalg.eigvals(B.dense())).max())
             if converged and abs(dense - lam) > 1e-9 * max(1.0, dense):
                 raise ArithmeticError(
                     f"power iteration ({lam}) and eigenvalues ({dense}) disagree"
@@ -317,7 +324,7 @@ def transfer_torus_value(f: GroupRingElement, n: int) -> float:
     """Trace of the n-th transfer power, which reproduces the quotient
     permanent once n clears the wrap-around width 2K+1."""
     T = transfer_matrix(f)
-    return float(sum(np.trace(np.linalg.matrix_power(B.toarray(), n))
+    return float(sum(np.trace(np.linalg.matrix_power(B.dense(), n))
                      for B in T.sectors()))
 
 
@@ -368,7 +375,6 @@ def estimate_report(
     tori=None,
     A: Window | None = None,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> EstimateReport:
     """Run the full estimation pipeline for a nonnegative weight function."""
     if not f.is_nonnegative():
@@ -376,11 +382,9 @@ def estimate_report(
     if tori is None:
         tori = default_tori(f)
     rows: list[EstimateRow] = []
-    upper_rows, skipped = upper_estimates(f, schedule, A=A, budget=budget,
-                                          threads=threads)
+    upper_rows, skipped = upper_estimates(f, schedule, A=A, budget=budget)
     rows.extend(upper_rows)
-    torus_rows, torus_skipped = torus_estimates(f, tori, budget=budget,
-                                                threads=threads)
+    torus_rows, torus_skipped = torus_estimates(f, tori, budget=budget)
     rows.extend(torus_rows)
     skipped = skipped + torus_skipped
 

@@ -394,13 +394,12 @@ def evaluate_family(
     if tori is None:
         tori = default_tori(inst.permanent_element, max_side=4)
     upper_rows, skipped = upper_estimates(inst.permanent_element, schedule,
-                                          modes=("admissible",), budget=budget,
-                                          threads=threads)
+                                          modes=("admissible",), budget=budget)
     if not upper_rows:
         raise CapacityError(
             "no window fits the budget: " + "; ".join(skipped), budget=budget)
     torus_rows, torus_skipped = torus_estimates(inst.permanent_element, tori,
-                                                budget=budget, threads=threads)
+                                                budget=budget)
     per_high = min(r.normalized for r in upper_rows)
     per_low = pressure_lower_bound(inst.permanent_element)
     torus_max = max((r.normalized for r in torus_rows), default=None)

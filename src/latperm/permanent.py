@@ -378,7 +378,7 @@ def _weights(f: GroupRingElement, terms: dict, exact: bool | None):
         if not integer:
             raise ValueError("element has non-integer coefficients")
         return {a: int(c) for a, c in terms.items()}, None
-    normalize = float(max(abs(c) for c in terms.values()))
+    normalize = float(max((abs(c) for c in terms.values()), default=1))
     return {a: c / normalize for a, c in terms.items()}, normalize
 
 
@@ -503,9 +503,11 @@ def matrix_permanent(
     """Permanent of a dense matrix (no coverage).
 
     Auto backend: Gray-code Ryser for small dense matrices, the sweep kernel
-    for sparse or wide ones.
+    for sparse or wide ones. exact=True raises ValueError on a non-integer entry.
     """
     M = np.asarray(M)
+    if exact and not all(x == int(x) for x in M.flat):
+        raise ValueError("matrix has non-integer entries")
     m, n = M.shape
     if m > n:
         return 0 if exact else 0.0

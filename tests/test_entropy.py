@@ -105,15 +105,34 @@ class TestTransferSectors:
                         {0: 2, 1: 1, 3: 3, 4: 1}, {0: 1, 6: 2, 7: 1}):
             f = GroupRingElement(1, {(a + 3,): c for a, c in weights.items()})
             T = transfer_matrix(f)
-            assert T.matrix.format == "csr"
+            assert isinstance(T.matrix, entropy.Block)
+            assert T.matrix.size == T.size
             assert np.array_equal(T.dense(),
                                   oracles.claimed_positions_transfer(weights))
 
     def test_sector_sizes_are_binomial(self):
         T = transfer_matrix(indicator(0, 2, 3, 7))
-        sizes = [B.shape[0] for B in T.sectors()]
-        assert sizes == [math.comb(7, k) for k in range(8)]
-        assert sum(B.nnz for B in T.sectors()) == T.matrix.nnz
+        sectors = T.sectors()
+        assert [B.size for B in sectors] == [math.comb(7, k) for k in range(8)]
+        assert sum(len(B.weight) for B in sectors) == len(T.matrix.weight)
+        assert sum(B.weight.sum() for B in sectors) == T.matrix.weight.sum()
+        # each entry stays inside its sector's rank range
+        for B in sectors:
+            assert B.src.max() < B.size and B.dst.max() < B.size
+
+    def test_entry_between_sectors_raises(self):
+        one = np.array([0])
+        T = entropy.TransferMatrix(2, entropy.Block(4, one, one + 1, np.ones(1)))
+        with pytest.raises(ArithmeticError, match="between popcount sectors"):
+            T.sectors()
+
+    def test_block_product_matches_dense(self):
+        T = transfer_matrix(GroupRingElement(1, {(0,): 2, (1,): 0.5, (4,): 3}))
+        x = np.linspace(0.5, 2.0, T.size)
+        assert np.allclose(T.matrix @ x, T.dense() @ x, rtol=1e-15, atol=0)
+        for B in T.sectors():
+            y = np.linspace(1.0, 3.0, B.size)
+            assert np.allclose(B @ y, B.dense() @ y, rtol=1e-15, atol=0)
 
     def test_non_convergence_raises(self):
         T = transfer_matrix(indicator(0, 10, 11))
@@ -139,20 +158,23 @@ class TestTransferSectors:
         expect = max(mahler_measure_roots(g) for g in inst.det_elements)
         assert abs(transfer_pressure(inst.permanent_element) - expect) <= 1e-10
 
-    def test_no_scipy_linalg_imported(self):
+    def test_runs_without_scipy(self):
+        # a None entry in sys.modules makes every scipy import fail
         code = (
-            "import sys, latperm.cli\n"
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import latperm.cli\n"
             "from latperm import GroupRingElement, transfer_pressure\n"
-            "transfer_pressure(GroupRingElement(1, {(0,): 1, (13,): 1, (14,): 1}))\n"
-            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.linalg',"
-            " 'scipy.sparse.csgraph') if m in sys.modules))\n"
+            "p = transfer_pressure(GroupRingElement(1, {(0,): 1, (13,): 1, (14,): 1}))\n"
+            "assert 0.3 < p < 0.4, p\n"
+            "sys.exit(latperm.cli.main(['verify']))\n"
         )
         src = str(Path(entropy.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "FAIL" not in proc.stdout
 
     def test_report_builds_transfer_matrix_once(self, monkeypatch):
         built = []
@@ -321,13 +343,6 @@ class TestUpperEstimates:
         assert any(r.window == "2x2" for r in rows)
         assert any("6x6" in s for s in skipped)
 
-    def test_threads_match_serial(self):
-        f = indicator(0, 1, 2)
-        sched = WindowSchedule.boxes(1, [4, 6, 8])
-        serial, _ = upper_estimates(f, sched, threads=1)
-        parallel, _ = upper_estimates(f, sched, threads=3)
-        assert serial == parallel
-
 
 class TestTorusEstimates:
     def test_two_point_counts_are_two(self):
@@ -348,13 +363,6 @@ class TestTorusEstimates:
         f = indicator(0, 3)
         with pytest.raises(ValueError, match="collide"):
             torus_estimates(f, [TorusQuotient((3,))])
-
-    def test_threads_match_serial(self):
-        f = indicator(0, 1, 2)
-        quotients = [TorusQuotient((n,)) for n in range(4, 9)]
-        serial, _ = torus_estimates(f, quotients, threads=1)
-        parallel, _ = torus_estimates(f, quotients, threads=3)
-        assert serial == parallel
 
     def test_default_tori_skip_colliding_moduli(self):
         f = indicator(-1, 0, 1)

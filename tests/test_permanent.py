@@ -348,6 +348,15 @@ class TestMatrixPermanent:
         with pytest.raises(CapacityError):
             ryser_permanent(np.ones((2, 30)))
 
+    @pytest.mark.parametrize("backend", ["sweep", "ryser"])
+    def test_exact_mode_rejects_non_integer_entries(self, backend):
+        M = np.array([[1.5, 1], [1, 1.5]])
+        assert matrix_permanent(M, backend=backend) == pytest.approx(3.25, rel=1e-12)
+        with pytest.raises(ValueError, match="non-integer"):
+            matrix_permanent(M, backend=backend, exact=True)
+        # integral floats still count as integers
+        assert matrix_permanent(M * 2, backend=backend, exact=True) == 13
+
     @given(st.integers(0, 10**6))
     @settings(deadline=None, max_examples=30)
     def test_backends_agree_on_random_matrices(self, seed):
@@ -422,6 +431,11 @@ class TestTorusPermanent:
         assert torus_permanent(f, q).linear == pytest.approx(6.0625, rel=1e-12)
         with pytest.raises(ValueError, match="non-integer"):
             torus_permanent(f, q, exact=True)
+
+    @pytest.mark.parametrize("exact", [True, False, None])
+    def test_zero_element_is_zero(self, exact):
+        v = torus_permanent(elem(1, {}), TorusQuotient((4,)), exact=exact)
+        assert v.linear == 0 and v.sign == 0 and v.log == -math.inf
 
     @pytest.mark.parametrize("backend", ["ryser", "swep"])
     def test_unknown_backend_is_rejected(self, backend):
