@@ -12,7 +12,8 @@ rectangular site-by-target matrix. Three backends are provided:
   frontier stays small. Coverage requirements are enforced the moment a
   target's last potential claimant passes. Keys and exact values start as
   int64 and turn into Python ints when the frontier or the values outgrow
-  it, so integer inputs give exact integers of any size.
+  it, so integer inputs give exact integers of any size; float values are
+  scaled by 2^-512 past 2^512. A torus sweeps one component, see below.
 * ``dfs`` - plain depth-first backtracking without memoization.
 * ``ryser`` - Gray-code Ryser on the dense matrix, with rectangular inputs
   padded by all-one rows, and coverage handled by inclusion-exclusion over
@@ -46,6 +47,7 @@ from .patterns import DEFAULT_BUDGET, enumerate_injective, enumerate_with_image,
 
 _KEY_BITS = 62  # int64 keys while every key bit is below this
 _VALUE_LIMIT = 1 << 62  # exact int64 values stay below this
+_FLOAT_LIMIT = 2.0 ** 512  # float values at or past this are divided by it
 _RYSER_MAX_COLS = 24
 
 
@@ -160,8 +162,16 @@ def _components(rows) -> list[tuple[list[int], int]]:
     return sorted(((sorted(m), mask) for mask, m in groups), key=lambda c: c[0][0])
 
 
+def _shrink(x, exp: int):
+    """(x, exp) for x * 2^exp, a float x past 2^512 divided by 2^512."""
+    if isinstance(x, float) and abs(x) >= _FLOAT_LIMIT:
+        return x / _FLOAT_LIMIT, exp + 512
+    return x, exp
+
+
 def _sweep(rows, required_mask: int, exact: bool, budget: int):
-    """Permanent of the rows that leaves no required target unclaimed.
+    """Permanent of the rows that leaves no required target unclaimed, as
+    a pair (value, exp) meaning value * 2^exp; exp is 0 in exact mode.
 
     The rows split into the connected components of the site-target graph,
     and the value is the product of the components' values: a
@@ -170,19 +180,19 @@ def _sweep(rows, required_mask: int, exact: bool, budget: int):
     targets, all of them draw on one node budget, and the sweep stops at the
     first component whose value is 0.
     """
-    zero = 0 if exact else 0.0
+    zero = (0 if exact else 0.0), 0
     parts = _components(rows)
     # the component masks are disjoint, so their sum is their union
     if required_mask & ~sum(mask for _, mask in parts):
         return zero
-    total = 1 if exact else 1.0
+    total = (1 if exact else 1.0), 0
     nodes = 0
     for members, mask in parts:
-        value, nodes = _frontier([rows[k] for k in members], required_mask & mask,
-                                 exact, budget, nodes)
+        value, exp, nodes = _frontier([rows[k] for k in members], required_mask & mask,
+                                      exact, budget, nodes)
         if value == 0:
             return zero
-        total *= value
+        total = _shrink(total[0] * value, total[1] + exp)
     return total
 
 
@@ -199,9 +209,10 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int):
     below 62, Python ints otherwise. Required targets are checked at their
     last row. Exact values start as int64 and become Python ints at the
     first row whose bound sum(|values|) * sum(|weights|) on the next values
-    could reach 2^62. A node is one (state, choice) pair, counted before a
-    row is built; ``nodes`` counts those already spent, and the value comes
-    back with the new count.
+    could reach 2^62. Float values are divided by 2^512 after each row that
+    takes one past it, and ``exp`` counts the bits. A node is one (state,
+    choice) pair, counted before a row is built; ``nodes`` counts those
+    already spent. Returns value, exp and the new count, for value * 2^exp.
     """
     nrows = len(rows)
     last = {j: k for k, row in enumerate(rows) for j, _ in row}
@@ -210,6 +221,7 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int):
     vals = np.ones(1, dtype=np.int64 if exact else np.float64)
     bit: dict[int, int] = {}  # target -> its key bit; dead entries are never read
     used = 0  # the bits of the live targets
+    exp = 0
     for k, row in enumerate(rows):
         nodes += keys.size * len(row)
         if nodes > budget:
@@ -246,15 +258,18 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int):
         base = (keys & keep).astype(object if used >> _KEY_BITS else np.int64, copy=False)
         kk, vv = _candidates(keys, vals, base, choices, need)
         if kk.size == 0:
-            return zero, nodes
+            return zero, 0, nodes
         order = np.argsort(kk, kind="stable")
         kk = kk[order]
         vv = vv[order]
         starts = np.flatnonzero(np.concatenate(([True], kk[1:] != kk[:-1])))
         keys = kk[starts]
         vals = np.add.reduceat(vv, starts)
+        if not exact and max(vals.max(), -vals.min()) >= _FLOAT_LIMIT:
+            vals = vals / _FLOAT_LIMIT
+            exp += 512
     total = vals.sum()
-    return (int(total) if exact else float(total)), nodes
+    return _shrink(int(total) if exact else float(total), exp) + (nodes,)
 
 
 def _dfs_permanent(rows, required_mask: int, exact: bool, budget: int):
@@ -412,8 +427,9 @@ def window_permanent(
     required = [index[t] for t in interior(F, A).points] if mode == "admissible" else []
     req_mask = sum(1 << j for j in required)
 
+    exp = 0
     if backend in ("auto", "sweep"):
-        raw = _sweep(rows, req_mask, use_exact, budget)
+        raw, exp = _sweep(rows, req_mask, use_exact, budget)
     elif backend == "dfs":
         raw = _dfs_permanent(rows, req_mask, use_exact, budget)
     elif backend == "ryser":
@@ -425,16 +441,17 @@ def window_permanent(
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
-    return _scaled_logvalue(raw, normalize, len(F))
+    return _scaled_logvalue(raw, exp, normalize, len(F))
 
 
-def _scaled_logvalue(raw, normalize, nsites) -> LogValue:
+def _scaled_logvalue(raw, exp, normalize, nsites) -> LogValue:
+    """raw * 2^exp * normalize^nsites, or the exact raw if normalize is None."""
     if normalize is None:
         return LogValue.from_linear(raw)
     if raw == 0:
         return LogValue.from_linear(0)
     sign = 1 if raw > 0 else -1
-    log = math.log(abs(raw)) + nsites * math.log(normalize)
+    log = math.log(abs(raw)) + nsites * math.log(normalize) + exp * math.log(2)
     return LogValue.from_log(log, sign)
 
 
@@ -468,13 +485,12 @@ def torus_permanent(
     value is exact or scaled like in window_permanent; exact=True with a
     non-integer coefficient raises ValueError.
 
-    The ``sweep`` backend (the default) splits the sites into the connected
-    components of the site-target graph and multiplies their permanents.
-    When every displacement flips coordinate-sum parity and all moduli are
-    even, the even and the odd sites fall into different components, which
-    is what makes large alternating quotients (8x8 and beyond) tractable.
-    The ``dfs`` backend backtracks over the whole quotient, as a cross-check;
-    any other backend raises ValueError.
+    The ``sweep`` backend (the default) sweeps the component of the origin
+    in the site-target graph, the coset of H = <A - A>, and multiplies its
+    value in once per coset: all [G:H] cosets are translates with the same
+    weights. Only the swept coset counts against the budget. The ``dfs``
+    backend backtracks over the whole quotient, as a cross-check; any other
+    backend raises ValueError.
     """
     if backend not in ("auto", "sweep", "dfs"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -491,10 +507,22 @@ def torus_permanent(
     sites = quotient.points()
     index = {p: j for j, p in enumerate(sites)}
     rows = _rows(sites, weights, index, quotient.reduce)
-    required_mask = (1 << len(sites)) - 1
-    kernel = _dfs_permanent if backend == "dfs" else _sweep
-    raw = kernel(rows, required_mask, use_exact, budget)
-    return _scaled_logvalue(raw, normalize, quotient.size)
+    if backend == "dfs":
+        raw = _dfs_permanent(rows, (1 << len(sites)) - 1, use_exact, budget)
+        return _scaled_logvalue(raw, 0, normalize, quotient.size)
+    # Sites s, s' share a target iff s - s' is in A - A, so the components
+    # are the cosets x + H, the first one H itself. Site s claims s + a with
+    # weight w_a, so s -> s + x maps H's rows onto x + H's, weight for weight:
+    # every coset has H's permanent. Multiplied in once per coset, as _sweep
+    # does, it gives the full sweep's exact values; floats can differ only
+    # where another coset's site order rounds differently.
+    parts = _components(rows)
+    members, mask = parts[0]
+    value, exp, _ = _frontier([rows[k] for k in members], mask, use_exact, budget, 0)
+    total = (1 if use_exact else 1.0), 0
+    for _ in parts:
+        total = _shrink(total[0] * value, total[1] + exp)
+    return _scaled_logvalue(*total, normalize, quotient.size)
 
 
 def matrix_permanent(
@@ -503,7 +531,8 @@ def matrix_permanent(
     """Permanent of a dense matrix (no coverage).
 
     Auto backend: Gray-code Ryser for small dense matrices, the sweep kernel
-    for sparse or wide ones. exact=True raises ValueError on a non-integer entry.
+    for sparse or wide ones. exact=True raises ValueError on a non-integer
+    entry; a float sweep beyond the float range raises OverflowError.
     """
     M = np.asarray(M)
     if exact and not all(x == int(x) for x in M.flat):
@@ -521,7 +550,8 @@ def matrix_permanent(
         for i in range(m):
             nz = np.nonzero(M[i])[0]
             rows.append([(int(j), int(M[i, j]) if exact else float(M[i, j])) for j in nz])
-        return _sweep(rows, 0, exact, budget)
+        value, exp = _sweep(rows, 0, exact, budget)
+        return math.ldexp(value, exp) if exp else value
     raise ValueError(f"unknown backend {backend!r}")
 
 

@@ -151,6 +151,20 @@ class TestPressure:
         payload = json.loads(out)
         assert payload["transfer_value"] > 0.5
 
+    def test_long_float_torus_stays_finite(self, capsys):
+        # the 4000-site torus of the weights scaled to max 1 is about e^780
+        heavy = ('{"dim":1,"terms":[{"exp":[0],"coef":1.5},'
+                 '{"exp":[1],"coef":1},{"exp":[2],"coef":1}]}')
+        code, out, _ = run(capsys, ["pressure", "--inline", heavy,
+                                    "--windows", "4", "--tori", "4000"])
+        assert code == 0
+        payload = json.loads(out)
+        torus = [r for r in payload["rows"] if r["kind"] == "torus"]
+        assert torus[0]["log_value"] == pytest.approx(4000 * payload["transfer_value"],
+                                                      rel=1e-9)
+        assert payload["lower_estimate"] == pytest.approx(payload["transfer_value"],
+                                                          abs=1e-9)
+
     def test_signed_element_rejected(self, capsys):
         code, _, err = run(capsys, ["pressure", "--inline", GOLDEN_SIGNED,
                                     "--windows", "4..6"])

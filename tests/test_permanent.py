@@ -11,6 +11,7 @@ from latperm.groupring import (
     Window,
     dilate,
     interior,
+    project,
     sub,
 )
 from latperm.patterns import enumerate_injective
@@ -18,7 +19,9 @@ from latperm.permanent import (
     LogValue,
     _dfs_permanent,
     _rows,
+    _scaled_logvalue,
     _sweep,
+    _weights,
     bregman_bound,
     det_identity_check,
     doubly_stochastic_extension,
@@ -242,9 +245,9 @@ class TestComponents:
 
     def test_required_target_outside_every_row_is_zero(self):
         rows = [[(0, 1), (1, 2)], [(1, 1)]]
-        assert _sweep(rows, 0b011, True, 100) == 1
-        assert _sweep(rows, 0b111, True, 100) == 0
-        assert _sweep(rows, 0b111, False, 100) == 0.0
+        assert _sweep(rows, 0b011, True, 100) == (1, 0)
+        assert _sweep(rows, 0b111, True, 100) == (0, 0)
+        assert _sweep(rows, 0b111, False, 100) == (0.0, 0)
 
     def test_components_share_one_node_budget(self):
         # one 3x3 all-ones block takes 21 nodes, two of them 42
@@ -276,9 +279,10 @@ class TestStableKeyBits:
     def test_sweep_matches_dfs_on_sparse_rows(self, inst):
         rows, req = inst
         want = _dfs_permanent(rows, req, True, 10**7)
-        assert _sweep(rows, req, True, 10**7) == want
+        assert _sweep(rows, req, True, 10**7) == (want, 0)
         frows = [[(j, float(w)) for j, w in row] for row in rows]
-        assert _sweep(frows, req, False, 10**7) == pytest.approx(want, rel=1e-12, abs=1e-9)
+        assert math.ldexp(*_sweep(frows, req, False, 10**7)) == \
+            pytest.approx(want, rel=1e-12, abs=1e-9)
 
     @pytest.mark.parametrize("req", [0, 1 << 65 | 1 << 2])
     def test_frontier_above_62_bits_then_narrow(self, req):
@@ -291,9 +295,9 @@ class TestStableKeyBits:
                 [(j, 1) for j in range(0, 10, 2)]]
         want = _dfs_permanent(rows, req, True, 10**7)
         assert want > 0
-        assert _sweep(rows, req, True, 10**7) == want
+        assert _sweep(rows, req, True, 10**7) == (want, 0)
         frows = [[(j, float(w)) for j, w in row] for row in rows]
-        assert _sweep(frows, req, False, 10**7) == pytest.approx(want, rel=1e-12)
+        assert math.ldexp(*_sweep(frows, req, False, 10**7)) == pytest.approx(want, rel=1e-12)
 
 
 class TestSubadditivity:
@@ -411,8 +415,8 @@ class TestTorusPermanent:
         assert torus_permanent(f, q).linear == matrix_permanent(M, exact=True)
 
     def test_sweep_agrees_with_dfs(self):
-        # alternating quotients split into an even and an odd component in
-        # the sweep; dfs backtracks over the whole quotient
+        # on alternating quotients the sweep runs the even sites and squares
+        # their value; dfs backtracks over the whole quotient
         f = ones([[1, 0], [-1, 0], [0, 1], [0, -1]])
         g = elem(2, {(1, 0): 2, (-1, 0): 2, (0, 1): 3, (0, -1): 3})
         for h in (f, g):
@@ -449,13 +453,98 @@ class TestTorusPermanent:
         assert v.linear == 311853312 ** 2
 
     @pytest.mark.parametrize("a,b,m,n", [(1, 1, 4, 4), (1, 1, 6, 4), (2, 3, 6, 4),
-                                         (1, 1, 6, 8), (1, 1, 8, 8), (3, 4, 8, 8)])
+                                         (1, 1, 6, 8), (1, 1, 8, 8), (3, 4, 8, 8),
+                                         (1, 1, 10, 10), (3, 4, 10, 10)])
     def test_dimer_torus_matches_kasteleyn(self, a, b, m, n):
         f = elem(2, {(1, 0): a, (-1, 0): a, (0, 1): b, (0, -1): b})
         want = oracles.kasteleyn_torus(a, b, m, n)
         assert torus_permanent(f, TorusQuotient((m, n))).linear == want
         assert torus_permanent(f, TorusQuotient((m, n)), exact=False).linear == \
             pytest.approx(want, rel=1e-10)
+
+
+class TestTorusCosets:
+    """The sweep runs the coset of the origin under H = <A - A> and raises
+    its value to the index [G:H]."""
+
+    QUAD = elem(2, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): 1})
+    DIMER = elem(2, {(1, 0): 2, (-1, 0): 2, (0, 1): 3, (0, -1): 1})
+    CASES = [
+        (QUAD, (5, 5), None),  # index 1
+        (DIMER, (4, 4), None),  # index 2: even and odd sites
+        (DIMER, (6, 4), None),
+        (elem(1, {(0,): 1, (3,): 2}), (9,), 729),  # index 3: (1 + 2^3)^3
+        (elem(2, {(0, 0): 1, (2, 0): 1, (0, 2): 1}), (4, 4), 6561),  # index 4: 9^4
+    ]
+
+    @pytest.mark.parametrize("f,moduli,value", CASES)
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_matches_unsplit_sweep(self, f, moduli, value, exact):
+        q = TorusQuotient(moduli)
+        weights, normalize = _weights(f, project(f, q), exact)
+        sites = q.points()
+        rows = _rows(sites, weights, {p: j for j, p in enumerate(sites)}, q.reduce)
+        raw, exp = _sweep(rows, (1 << len(sites)) - 1, exact, 10**7)
+        want = _scaled_logvalue(raw, exp, normalize, q.size)
+        got = torus_permanent(f, q, exact=exact)
+        # the same product of the same component value: bit for bit in floats
+        assert got == want
+        if value is not None:
+            assert got.linear == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("f,moduli,value", CASES[1:2] + CASES[3:])
+    def test_matches_dfs(self, f, moduli, value):
+        # dfs backtracks over the whole quotient; on the quad 5x5 and the
+        # dimer 6x4 it takes 25-50 s, and the Kasteleyn tests cover 6x4
+        q = TorusQuotient(moduli)
+        want = torus_permanent(f, q, backend="dfs").linear
+        assert torus_permanent(f, q).linear == want
+        assert torus_permanent(f, q, exact=False).linear == \
+            pytest.approx(want, rel=1e-12)
+
+    def test_budget_counts_one_coset(self):
+        # each parity class of the unit dimer 4x4 torus takes 680 nodes;
+        # sweeping both took 1360
+        f = ones([[1, 0], [-1, 0], [0, 1], [0, -1]])
+        assert torus_permanent(f, TorusQuotient((4, 4)), budget=680).linear == 73984
+        with pytest.raises(CapacityError):
+            torus_permanent(f, TorusQuotient((4, 4)), budget=679)
+
+
+class TestFloatRange:
+    """Float sweeps divide their values by 2^512 past 2^512 and carry the
+    exponent, so a value beyond 2^1024 still has a finite log."""
+
+    GOLDEN = elem(1, {(0,): 1, (1,): 1, (2,): 1})
+
+    def test_long_torus_log_is_finite(self):
+        q = TorusQuotient((2000,))
+        want = torus_permanent(self.GOLDEN, q).log
+        assert want > 900
+        got = torus_permanent(self.GOLDEN, q, exact=False)
+        assert got.sign == 1
+        assert got.log == pytest.approx(want, rel=1e-12)
+
+    def test_long_window_log_is_finite(self):
+        F = Window.box([0], [3000])
+        want = window_permanent(self.GOLDEN, F).log
+        assert want > 1400
+        assert window_permanent(self.GOLDEN, F, exact=False).log == \
+            pytest.approx(want, rel=1e-12)
+
+    def test_matrix_beyond_float_range_raises(self):
+        # rows i claim columns i, i+1, i+2: the value grows about 2^0.7 a
+        # row, so 1000 rows pass 2^512 inside the float range and 1600 leave it
+        M = np.zeros((1600, 1602), dtype=int)
+        for i in range(1600):
+            M[i, i:i + 3] = 1
+        want = matrix_permanent(M[:1000, :1002], backend="sweep", exact=True)
+        assert 600 < math.log2(want) < 1000
+        assert matrix_permanent(M[:1000, :1002].astype(float), backend="sweep") == \
+            pytest.approx(want, rel=1e-12)
+        assert math.log2(matrix_permanent(M, backend="sweep", exact=True)) > 1024
+        with pytest.raises(OverflowError):
+            matrix_permanent(M.astype(float), backend="sweep")
 
 
 class TestSignedSums:
