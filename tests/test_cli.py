@@ -7,7 +7,6 @@ import pytest
 
 import latperm.entropy as entropy
 from latperm.cli import RunConfig, main, parse_tori, parse_windows
-from latperm.fkdet import FAMILY_CSV_HEADER
 from latperm.groupring import GroupRingElement, Window
 from latperm.permanent import window_permanent
 
@@ -112,6 +111,21 @@ class TestEntropy:
         assert code1 == code2 == 0
         assert out1 == out2
         assert out1.splitlines()[0] == "window,size,log_value,normalized,kind"
+
+    def test_csv_shape_and_determinism(self, capsys):
+        argv = ["entropy", "--inline", GOLDEN, "--windows", "4,6", "--tori", "5"]
+        code1, csv1, _ = run(capsys, argv + ["--format", "csv"])
+        code2, csv2, _ = run(capsys, argv + ["--format", "csv"])
+        assert code1 == code2 == 0
+        assert csv1 == csv2
+        lines = csv1.strip().split("\n")
+        assert lines[0] == "window,size,log_value,normalized,kind"
+        kinds = {line.split(",")[-1] for line in lines[1:]}
+        assert kinds <= {"upper", "torus", "transfer", "bound"}
+        _, out, _ = run(capsys, argv)
+        rows = json.loads(out)["rows"]
+        assert len(lines) == 1 + len(rows)
+        assert [line.split(",")[0] for line in lines[1:]] == [r["window"] for r in rows]
 
     def test_threads_do_not_change_output(self, capsys):
         base = ["entropy", "--inline", GOLDEN, "--windows", "4..8",
@@ -258,12 +272,21 @@ class TestCompare:
         code, out, _ = run(capsys, ["compare", "dimer", "--format", "csv"])
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == FAMILY_CSV_HEADER
+        assert lines[0] == ("family,params,per_estimate_low,per_estimate_high,"
+                            "det_value,det_error_estimate")
         family, params, low, high, det, err = lines[1].split(",")
         assert family == "dimer"
         assert params == "a=1;b=1"
         assert float(low) <= float(det) <= float(high)
         assert float(err) < 1e-2
+
+    def test_csv_row_shape(self, capsys):
+        code, out, _ = run(capsys, ["compare", "trinomial-Z", "--params",
+                                    "a=2,b=1,c=1", "--format", "csv"])
+        assert code == 0
+        header, row = out.splitlines()
+        assert len(row.split(",")) == len(header.split(","))
+        assert row.startswith("trinomial-Z,a=2;b=1;c=1,")
 
     def test_one_dim_family_equality(self, capsys):
         code, out, _ = run(capsys, ["compare", "three-point-Z",
@@ -418,3 +441,141 @@ class TestVerify:
         assert lines[-1].startswith("VERIFY PASSED")
         assert sum(1 for line in lines if line.startswith("PASS ")) == 8
         assert not any(line.startswith("FAIL ") for line in lines)
+
+
+TWO_POINT_WEIGHT_2 = '{"dim":1,"terms":[{"exp":[0],"coef":2},{"exp":[1],"coef":2}]}'
+
+# one small run per subcommand: (argv, JSON payload, CSV text). A payload is
+# a Python literal; json.dumps(payload, indent=2) gives the CLI's JSON bytes,
+# float reprs, integer values and key order included
+GOLDEN_RUNS = {
+    "entropy": (
+        ["entropy", "--inline", TWO_POINT, "--windows", "2", "--tori", "4"],
+        {"command": "entropy", "dim": 1,
+         "rows": [
+             {"window": "box2", "size": 2, "log_value": 0.69314718056,
+              "normalized": 0.34657359028, "kind": "upper"},
+             {"window": "box2-inj", "size": 2, "log_value": 1.09861228867,
+              "normalized": 0.549306144334, "kind": "upper"},
+             {"window": "4", "size": 4, "log_value": 0.69314718056,
+              "normalized": 0.17328679514, "kind": "torus"},
+             {"window": "transfer", "size": 2, "log_value": 0.0,
+              "normalized": 0.0, "kind": "transfer"},
+             {"window": "closed-form-lower", "size": 2, "log_value": -0.30685281944,
+              "normalized": -0.30685281944, "kind": "bound"},
+             {"window": "closed-form-upper", "size": 2, "log_value": 0.34657359028,
+              "normalized": 0.34657359028, "kind": "bound"}],
+         "running_infimum": [0.34657359028],
+         "certified_upper": 0.34657359028,
+         "lower_estimate": 0.17328679514,
+         "lower_label": "converging-lower",
+         "transfer_value": 0.0,
+         "closed_form_lower": -0.30685281944,
+         "closed_form_upper": 0.34657359028,
+         "capacity_skipped": []},
+        "window,size,log_value,normalized,kind\n"
+        "box2,2,0.69314718056,0.34657359028,upper\n"
+        "box2-inj,2,1.09861228867,0.549306144334,upper\n"
+        "4,4,0.69314718056,0.17328679514,torus\n"
+        "transfer,2,0,0,transfer\n"
+        "closed-form-lower,2,-0.30685281944,-0.30685281944,bound\n"
+        "closed-form-upper,2,0.34657359028,0.34657359028,bound\n",
+    ),
+    "pressure": (
+        ["pressure", "--inline", TWO_POINT_WEIGHT_2, "--windows", "2", "--tori", "4"],
+        {"command": "pressure", "dim": 1,
+         "rows": [
+             {"window": "box2", "size": 2, "log_value": 2.07944154168,
+              "normalized": 1.03972077084, "kind": "upper"},
+             {"window": "box2-inj", "size": 2, "log_value": 2.48490664979,
+              "normalized": 1.24245332489, "kind": "upper"},
+             {"window": "4", "size": 4, "log_value": 3.4657359028,
+              "normalized": 0.8664339757, "kind": "torus"},
+             {"window": "transfer", "size": 2, "log_value": 0.69314718056,
+              "normalized": 0.69314718056, "kind": "transfer"},
+             {"window": "closed-form-lower", "size": 2, "log_value": 0.38629436112,
+              "normalized": 0.38629436112, "kind": "bound"}],
+         "running_infimum": [1.03972077084],
+         "certified_upper": 1.03972077084,
+         "lower_estimate": 0.8664339757,
+         "lower_label": "converging-lower",
+         "transfer_value": 0.69314718056,
+         "closed_form_lower": 0.38629436112,
+         "closed_form_upper": None,
+         "capacity_skipped": []},
+        "window,size,log_value,normalized,kind\n"
+        "box2,2,2.07944154168,1.03972077084,upper\n"
+        "box2-inj,2,2.48490664979,1.24245332489,upper\n"
+        "4,4,3.4657359028,0.8664339757,torus\n"
+        "transfer,2,0.69314718056,0.69314718056,transfer\n"
+        "closed-form-lower,2,0.38629436112,0.38629436112,bound\n",
+    ),
+    "permanent": (
+        ["permanent", "--inline", GOLDEN, "--windows", "6"],
+        {"command": "permanent", "dim": 1, "window": "box6", "size": 6,
+         "admissible": {"value": 36, "log_value": 3.58351893846,
+                        "normalized": 0.597253156409},
+         "injective": {"value": 79, "log_value": 4.36944785247,
+                       "normalized": 0.728241308745}},
+        "window,size,log_value,normalized,kind\n"
+        "box6,6,3.58351893846,0.597253156409,admissible\n"
+        "box6,6,4.36944785247,0.728241308745,injective\n",
+    ),
+    "mahler": (
+        ["mahler", "--inline", GOLDEN_SIGNED, "--grid", "8"],
+        {"command": "mahler", "dim": 1,
+         "value": 0.481211215869,
+         "error_estimate": 5.66123227113e-05,
+         "converged": True,
+         "levels": [{"grid": 8, "value": 0.486477537264},
+                    {"grid": 16, "value": 0.481268450214},
+                    {"grid": 32, "value": 0.481211837891}],
+         "eps_spread": 0.0,
+         "roots_value": 0.48121182506},
+        "value,error_estimate,converged,roots_value\n"
+        "0.481211215869,5.66123227113e-05,1,0.48121182506\n",
+    ),
+    "compare": (
+        # 2u^2 + u - 1 = (2u - 1)(u + 1): both sides are log 2, the root -1
+        # on the unit circle slows the quadrature down
+        ["compare", "trinomial-Z", "--params", "a=2", "--grid", "8"],
+        {"command": "compare", "family": "trinomial-Z",
+         "params": {"a": 2.0, "b": 1.0, "c": 1.0},
+         "per_estimate_low": 0.69314718056,
+         "per_estimate_high": 0.69314718056,
+         "per_label": "transfer-exact",
+         "det_value": 0.693620097788,
+         "det_error_estimate": 0.0216618030523,
+         "det_values": [0.693620097788],
+         "torus_max": None},
+        "family,params,per_estimate_low,per_estimate_high,det_value,det_error_estimate\n"
+        "trinomial-Z,a=2;b=1;c=1,0.69314718056,0.69314718056,0.693620097788,"
+        "0.0216618030523\n",
+    ),
+    "periodic": (
+        ["periodic", "--inline", TWO_POINT, "--tori", "4..5"],
+        {"command": "periodic", "dim": 1,
+         "tori": [{"torus": "4", "sites": 4, "count": 2,
+                   "log_value": 0.69314718056, "normalized": 0.17328679514},
+                  {"torus": "5", "sites": 5, "count": 2,
+                   "log_value": 0.69314718056, "normalized": 0.138629436112}],
+         "capacity_skipped": []},
+        "window,size,log_value,normalized,kind\n"
+        "4,4,0.69314718056,0.17328679514,torus\n"
+        "5,5,0.69314718056,0.138629436112,torus\n",
+    ),
+}
+
+
+class TestGoldenOutput:
+    """Byte-exact stdout of one small run per subcommand, in both formats."""
+
+    @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+    def test_json(self, capsys, name):
+        argv, payload, _ = GOLDEN_RUNS[name]
+        assert run(capsys, argv) == (0, json.dumps(payload, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+    def test_csv(self, capsys, name):
+        argv, _, text = GOLDEN_RUNS[name]
+        assert run(capsys, argv + ["--format", "csv"]) == (0, text, "")
