@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 verify failures, 2 argument or input errors,
 failure (a transfer eigen-solve that did not converge or failed its
 cross-check, or an inexact Ryser padding division).
 
-Floating point numbers are printed with 12 significant digits and a '.'
+All output is formatted here: _dump writes every JSON payload and _csv
+every CSV, and both print floats with 12 significant digits and a '.'
 decimal separator. Rerunning the same configuration with the same thread
 count reproduces the output byte for byte.
 """
@@ -26,7 +27,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -35,13 +36,11 @@ from .entropy import (
     WindowSchedule,
     _run_jobs,
     default_tori,
-    estimate_csv,
     estimate_report,
     torus_label,
     transfer_pressure,
 )
 from .fkdet import (
-    FAMILY_CSV_HEADER,
     FAMILY_DEFAULTS,
     QuadratureConfig,
     evaluate_family,
@@ -159,12 +158,15 @@ def _parse_params(text: str) -> dict:
         if "=" not in part:
             raise ValueError(f"parameter {part!r} is not of the form name=value")
         name, value = part.split("=", 1)
-        params[name.strip()] = float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"parameter {name.strip()} must be finite")
+        params[name.strip()] = value
     return params
 
 
 # ---------------------------------------------------------------------------
-# input loading and number formatting
+# input loading
 
 
 def _load_obj(cfg: RunConfig):
@@ -207,35 +209,6 @@ def _displacement_weights(cfg: RunConfig, keep_weights: bool) -> GroupRingElemen
     return f
 
 
-def _num(x):
-    """12 significant digits for finite floats, strings for non-finite."""
-    if x is None:
-        return None
-    x = float(x)
-    if math.isfinite(x):
-        return float(f"{x:.12g}")
-    return repr(x)
-
-
-def _linear(lv):
-    """Exact integers pass through, floats are rounded, overflow is None."""
-    if lv.linear is None:
-        return None
-    if isinstance(lv.linear, int):
-        return lv.linear
-    return _num(lv.linear)
-
-
-def _row_dict(row) -> dict:
-    return {
-        "window": row.window,
-        "size": row.size,
-        "log_value": _num(row.log_value),
-        "normalized": _num(row.normalized),
-        "kind": row.kind,
-    }
-
-
 def _default_sizes(dim: int) -> tuple[int, ...]:
     if dim == 1:
         return tuple(range(2, 11))
@@ -244,8 +217,39 @@ def _default_sizes(dim: int) -> tuple[int, ...]:
     return (2, 3)
 
 
+# ---------------------------------------------------------------------------
+# output formatting
+
+
+def _num(x):
+    """x with every float, in dicts and lists too, at 12 significant digits;
+    non-finite floats become "inf", "-inf" or "nan", and anything else,
+    exact integers and None included, is left as it is."""
+    if isinstance(x, dict):
+        return {k: _num(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_num(v) for v in x]
+    if isinstance(x, float):
+        x = float(x)  # a numpy float's repr is not "inf"
+        return float(f"{x:.12g}") if math.isfinite(x) else repr(x)
+    return x
+
+
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(_num(payload), indent=2) + "\n"
+
+
+def _csv(header, rows) -> str:
+    """A header line, then one line per row: floats at 12 significant
+    digits, None as an empty cell, anything else with str."""
+    def cell(x):
+        return "" if x is None else f"{x:.12g}" if isinstance(x, float) else str(x)
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _estimate_csv(rows) -> str:
+    return _csv([f.name for f in fields(EstimateRow)], map(astuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +263,8 @@ def _estimate_command(cfg: RunConfig, f: GroupRingElement) -> tuple[str, int]:
     report = estimate_report(f, schedule, tori=tori, budget=cfg.budget)
     code = 3 if report.capacity_skipped else 0
     if cfg.out_format == "csv":
-        return report.to_csv(), code
-    payload = {
-        "command": cfg.command,
-        "dim": f.dim,
-        "rows": [_row_dict(r) for r in report.rows],
-        "running_infimum": [_num(v) for v in report.running_infimum],
-        "certified_upper": _num(report.certified_upper),
-        "lower_estimate": _num(report.lower_estimate),
-        "lower_label": report.lower_label,
-        "transfer_value": _num(report.transfer_value),
-        "closed_form_lower": _num(report.closed_form_lower),
-        "closed_form_upper": _num(report.closed_form_upper),
-        "capacity_skipped": list(report.capacity_skipped),
-    }
-    return _dump(payload), code
+        return _estimate_csv(report.rows), code
+    return _dump({"command": cfg.command, "dim": f.dim, **asdict(report)}), code
 
 
 def cmd_entropy(cfg: RunConfig) -> tuple[str, int]:
@@ -295,16 +286,13 @@ def cmd_permanent(cfg: RunConfig) -> tuple[str, int]:
     values = {mode: window_permanent(f, F, mode=mode, budget=cfg.budget)
               for mode in ("admissible", "injective")}
     if cfg.out_format == "csv":
-        return estimate_csv(EstimateRow(label, len(F), lv.log, lv.normalized(len(F)), mode)
-                            for mode, lv in values.items()), 0
+        return _estimate_csv(EstimateRow(label, len(F), lv.log, lv.normalized(len(F)), mode)
+                             for mode, lv in values.items()), 0
     payload = {"command": "permanent", "dim": f.dim, "window": label,
                "size": len(F)}
     for mode, lv in values.items():
-        payload[mode] = {
-            "value": _linear(lv),
-            "log_value": _num(lv.log),
-            "normalized": _num(lv.normalized(len(F))),
-        }
+        payload[mode] = {"value": lv.linear, "log_value": lv.log,
+                         "normalized": lv.normalized(len(F))}
     return _dump(payload), 0
 
 
@@ -314,20 +302,17 @@ def cmd_mahler(cfg: RunConfig) -> tuple[str, int]:
     res = mahler_measure(f, qcfg, threads=cfg.threads)
     roots = mahler_measure_roots(f) if f.dim == 1 else None
     if cfg.out_format == "csv":
-        root_col = f"{roots:.12g}" if roots is not None else ""
-        lines = ["value,error_estimate,converged,roots_value",
-                 f"{res.value:.12g},{res.error_estimate:.12g},"
-                 f"{int(res.converged)},{root_col}"]
-        return "\n".join(lines) + "\n", 0
+        return _csv(("value", "error_estimate", "converged", "roots_value"),
+                    [(res.value, res.error_estimate, int(res.converged), roots)]), 0
     payload = {
         "command": "mahler",
         "dim": f.dim,
-        "value": _num(res.value),
-        "error_estimate": _num(res.error_estimate),
+        "value": res.value,
+        "error_estimate": res.error_estimate,
         "converged": res.converged,
-        "levels": [{"grid": g, "value": _num(v)} for g, v in res.levels],
-        "eps_spread": _num(res.eps_spread),
-        "roots_value": _num(roots),
+        "levels": [{"grid": g, "value": v} for g, v in res.levels],
+        "eps_spread": res.eps_spread,
+        "roots_value": roots,
     }
     return _dump(payload), 0
 
@@ -350,18 +335,22 @@ def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
               file=sys.stderr)
         code = 3
     if cfg.out_format == "csv":
-        return FAMILY_CSV_HEADER + "\n" + rep.csv_row() + "\n", code
+        header = ("family", "params", "per_estimate_low", "per_estimate_high",
+                  "det_value", "det_error_estimate")
+        return _csv(header, [(rep.instance.family, rep.instance.params_label(),
+                              rep.per_low, rep.per_high, rep.det_value,
+                              rep.det_error)]), code
     payload = {
         "command": "compare",
         "family": rep.instance.family,
-        "params": {k: _num(v) for k, v in rep.instance.params},
-        "per_estimate_low": _num(rep.per_low),
-        "per_estimate_high": _num(rep.per_high),
+        "params": dict(rep.instance.params),
+        "per_estimate_low": rep.per_low,
+        "per_estimate_high": rep.per_high,
         "per_label": rep.per_label,
-        "det_value": _num(rep.det_value),
-        "det_error_estimate": _num(rep.det_error),
-        "det_values": [_num(r.value) for r in rep.det_results],
-        "torus_max": _num(rep.torus_max),
+        "det_value": rep.det_value,
+        "det_error_estimate": rep.det_error,
+        "det_values": [r.value for r in rep.det_results],
+        "torus_max": rep.torus_max,
     }
     return _dump(payload), code
 
@@ -384,21 +373,14 @@ def cmd_periodic(cfg: RunConfig) -> tuple[str, int]:
     rows = [(torus_label(q), q.size, lv) for q, lv in done]
     code = 3 if skipped else 0
     if cfg.out_format == "csv":
-        return estimate_csv(EstimateRow(label, size, lv.log, lv.normalized(size), "torus")
-                            for label, size, lv in rows), code
+        return _estimate_csv(EstimateRow(label, size, lv.log, lv.normalized(size), "torus")
+                             for label, size, lv in rows), code
     payload = {
         "command": "periodic",
         "dim": f.dim,
-        "tori": [
-            {
-                "torus": label,
-                "sites": size,
-                "count": _linear(lv),
-                "log_value": _num(lv.log),
-                "normalized": _num(lv.normalized(size)),
-            }
-            for label, size, lv in rows
-        ],
+        "tori": [{"torus": label, "sites": size, "count": lv.linear,
+                  "log_value": lv.log, "normalized": lv.normalized(size)}
+                 for label, size, lv in rows],
         "capacity_skipped": skipped,
     }
     return _dump(payload), code

@@ -59,21 +59,14 @@ class WindowSchedule:
 
 @dataclass(frozen=True)
 class EstimateRow:
-    """One line of an estimate report (also one CSV row)."""
+    """One line of an estimate report; the CLI writes its fields, in this
+    order, as the JSON row object and as the CSV columns."""
 
     window: str
     size: int
     log_value: float
     normalized: float
     kind: str  # upper | torus | transfer | bound
-
-
-def estimate_csv(rows) -> str:
-    """The CSV of EstimateRows: a header line, then one line per row."""
-    lines = ["window,size,log_value,normalized,kind"]
-    for r in rows:
-        lines.append(f"{r.window},{r.size},{r.log_value:.12g},{r.normalized:.12g},{r.kind}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -95,9 +88,6 @@ class EstimateReport:
     closed_form_upper: float | None
     capacity_skipped: tuple[str, ...] = field(default=())
 
-    def to_csv(self) -> str:
-        return estimate_csv(self.rows)
-
 
 def _run_jobs(run, jobs, label):
     """(job, run(job)) for each job that fits the budget, in input order,
@@ -114,7 +104,6 @@ def _run_jobs(run, jobs, label):
 def upper_estimates(
     f: GroupRingElement,
     schedule: WindowSchedule,
-    A: Window | None = None,
     modes: tuple[str, ...] = ("admissible", "injective"),
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[list[EstimateRow], list[str]]:
@@ -124,7 +113,7 @@ def upper_estimates(
 
     jobs = [(label, F, mode) for label, F in schedule for mode in modes]
     done, skipped = _run_jobs(
-        lambda job: window_permanent(f, job[1], A=A, mode=job[2], budget=budget),
+        lambda job: window_permanent(f, job[1], mode=job[2], budget=budget),
         jobs, lambda job: f"{job[0]}[{job[2]}]")
     rows: list[EstimateRow] = []
     for (label, F, mode), v in done:
@@ -373,7 +362,6 @@ def estimate_report(
     f: GroupRingElement,
     schedule: WindowSchedule,
     tori=None,
-    A: Window | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> EstimateReport:
     """Run the full estimation pipeline for a nonnegative weight function."""
@@ -382,7 +370,7 @@ def estimate_report(
     if tori is None:
         tori = default_tori(f)
     rows: list[EstimateRow] = []
-    upper_rows, skipped = upper_estimates(f, schedule, A=A, budget=budget)
+    upper_rows, skipped = upper_estimates(f, schedule, budget=budget)
     rows.extend(upper_rows)
     torus_rows, torus_skipped = torus_estimates(f, tori, budget=budget)
     rows.extend(torus_rows)

@@ -356,15 +356,6 @@ class FamilyReport:
     torus_max: float | None = None
     capacity_skipped: tuple[str, ...] = ()
 
-    def csv_row(self) -> str:
-        return (f"{self.instance.family},{self.instance.params_label()},"
-                f"{self.per_low:.12g},{self.per_high:.12g},"
-                f"{self.det_value:.12g},{self.det_error:.12g}")
-
-
-FAMILY_CSV_HEADER = ("family,params,per_estimate_low,per_estimate_high,"
-                     "det_value,det_error_estimate")
-
 
 def evaluate_family(
     family: str,

@@ -31,6 +31,20 @@ def _as_point(p: Sequence[int]) -> Point:
     return tuple(int(c) for c in p)
 
 
+def _json_get(obj, key: str, what: str):
+    """obj[key] from a JSON object, or a ValueError naming the field."""
+    if not isinstance(obj, Mapping) or key not in obj:
+        raise ValueError(f"{what} has no {key!r} field")
+    return obj[key]
+
+
+def _json_list(value, what: str, ints: bool = False) -> list:
+    """A JSON list, of integers if ints, or a ValueError naming the field."""
+    if not isinstance(value, list) or ints and any(type(v) is not int for v in value):
+        raise ValueError(f"{what} must be a list" + " of integers" * ints)
+    return value
+
+
 def add(p: Point, q: Point) -> Point:
     return tuple(a + b for a, b in zip(p, q))
 
@@ -100,11 +114,13 @@ class Window:
 
     @staticmethod
     def from_json(obj: Mapping) -> "Window":
-        if "box" in obj:
+        if isinstance(obj, Mapping) and "box" in obj:
             box = obj["box"]
-            return Window.box(box["origin"], box["lengths"])
-        if "points" in obj:
-            return Window.of(obj["points"])
+            return Window.box(_json_list(_json_get(box, "origin", "box"), "box origin", True),
+                              _json_list(_json_get(box, "lengths", "box"), "box lengths", True))
+        if isinstance(obj, Mapping) and "points" in obj:
+            return Window.of(_json_list(p, "window point", True)
+                             for p in _json_list(obj["points"], "window points"))
         raise ValueError("window JSON needs a 'box' or 'points' key")
 
 
@@ -157,10 +173,6 @@ class GroupRingElement:
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*u^{p}" for p, c in sorted(self.terms.items()))
         return f"GroupRingElement(dim={self.dim}, {body or '0'})"
-
-    @staticmethod
-    def delta(dim: int, coef: float | int = 1) -> "GroupRingElement":
-        return GroupRingElement(dim, {(0,) * dim: coef})
 
     @staticmethod
     def indicator(A: Window) -> "GroupRingElement":
@@ -244,11 +256,17 @@ class GroupRingElement:
 
     @staticmethod
     def from_json(obj: Mapping) -> "GroupRingElement":
-        dim = int(obj["dim"])
+        """The element of a JSON object; a missing or malformed field raises
+        ValueError naming it."""
+        dim = _json_get(obj, "dim", "element")
+        if type(dim) is not int or dim < 1:
+            raise ValueError("element dim must be a positive integer")
         terms: dict[Point, float | int] = {}
-        for t in obj["terms"]:
-            p = _as_point(t["exp"])
-            c = t["coef"]
+        for t in _json_list(_json_get(obj, "terms", "element"), "element terms"):
+            p = _as_point(_json_list(_json_get(t, "exp", "term"), "term exp", True))
+            c = _json_get(t, "coef", "term")
+            if type(c) not in (int, float) or not -math.inf < c < math.inf:
+                raise ValueError("term coef must be a finite number")
             if isinstance(c, float) and c.is_integer():
                 c = int(c)
             terms[p] = terms.get(p, 0) + c

@@ -148,18 +148,28 @@ def _candidates(keys, vals, base, choices, need):
 def _components(rows) -> list[tuple[list[int], int]]:
     """Connected components of the site-target graph, as (row indices in
     site order, target mask) pairs ordered by their first row. Two rows are
-    joined when they share a target."""
-    groups: list[tuple[int, list[int]]] = []
+    joined when they share a target: a union-find joins each row to the
+    first row that claims each of its targets."""
+    root = list(range(len(rows)))
+
+    def find(k):
+        while root[k] != k:
+            root[k] = root[root[k]]  # path halving
+            k = root[k]
+        return k
+
+    first: dict[int, int] = {}
     for k, row in enumerate(rows):
-        mask = 0
         for j, _ in row:
-            mask |= 1 << j
-        members = [k]
-        for gmask, gmembers in [g for g in groups if g[0] & mask]:
-            mask |= gmask
-            members += gmembers
-        groups = [g for g in groups if not g[0] & mask] + [(mask, members)]
-    return sorted(((sorted(m), mask) for mask, m in groups), key=lambda c: c[0][0])
+            root[find(first.setdefault(j, k))] = find(k)
+    # rows in increasing order reach each component at its first row
+    members: dict[int, list[int]] = {}
+    for k in range(len(rows)):
+        members.setdefault(find(k), []).append(k)
+    masks = dict.fromkeys(members, 0)
+    for j, k in first.items():
+        masks[find(k)] |= 1 << j
+    return [(m, masks[r]) for r, m in members.items()]
 
 
 def _shrink(x, exp: int):

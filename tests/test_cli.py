@@ -399,6 +399,36 @@ class TestPeriodic:
         assert all(isinstance(row["count"], int) for row in payload["tori"])
 
 
+def term(exp, coef):
+    """A one-dimensional element whose first term has the given JSON texts."""
+    return '{"dim":1,"terms":[{"exp":%s,"coef":%s},{"exp":[1],"coef":1}]}' % (exp, coef)
+
+
+# malformed fields and non-finite parameters, each with the name its error
+# line must give; nothing may be truncated, coerced or computed with NaN
+MALFORMED = [
+    (["pressure", "--inline", '{"terms":[{"exp":[0],"coef":1}]}'], "dim"),
+    (["pressure", "--inline", '{"dim":1.5,"terms":[]}'], "dim"),
+    (["pressure", "--inline", '{"dim":1,"terms":[{"coef":1}]}'], "exp"),
+    (["pressure", "--inline", '{"dim":1,"terms":[{"exp":[0]}]}'], "coef"),
+    (["pressure", "--inline", '{"dim":1,"terms":5}'], "terms"),
+    (["pressure", "--inline", term("0", "1")], "exp"),
+    (["permanent", "--inline", term("[0.5]", "1"), "--windows", "3"], "exp"),
+    (["pressure", "--inline", term("[0]", '"2"')], "coef"),
+    (["permanent", "--inline", term("[0]", "true"), "--windows", "3"], "coef"),
+    (["mahler", "--inline", term("[0]", "NaN")], "coef"),
+    (["mahler", "--inline", '{"dim":2,"terms":[{"exp":[0,0],"coef":Infinity}]}'],
+     "coef"),
+    (["entropy", "--inline", '{"points":5}'], "points"),
+    (["entropy", "--inline", '{"points":[[0.5],[1]]}', "--windows", "3"], "point"),
+    (["entropy", "--inline", '{"box":{"origin":[0]}}'], "lengths"),
+    (["entropy", "--inline", '{"box":{"origin":[0],"lengths":[true]}}'], "lengths"),
+    (["entropy", "--inline", "5"], "points"),
+    (["compare", "dimer", "--params", "a=inf"], "parameter a "),
+    (["compare", "three-point-Z", "--params", "K=nan"], "parameter K "),
+]
+
+
 class TestInputErrors:
     def test_both_input_and_inline(self, capsys, tmp_path):
         path = tmp_path / "a.json"
@@ -431,6 +461,14 @@ class TestInputErrors:
         zero = '{"dim":1,"terms":[]}'
         code, _, err = run(capsys, ["pressure", "--inline", zero])
         assert code == 2
+
+    @pytest.mark.parametrize("argv,field", MALFORMED)
+    def test_malformed_field(self, capsys, argv, field):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+        assert "Traceback" not in err
 
 
 class TestVerify:

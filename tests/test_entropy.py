@@ -422,18 +422,6 @@ class TestEstimateReport:
         with pytest.raises(ValueError):
             estimate_report(f, WindowSchedule.boxes(1, [2]))
 
-    def test_csv_shape_and_determinism(self):
-        f = indicator(0, 1, 2)
-        sched = WindowSchedule.boxes(1, [4, 6])
-        rep1 = estimate_report(f, sched, tori=[TorusQuotient((5,))])
-        rep2 = estimate_report(f, sched, tori=[TorusQuotient((5,))])
-        assert rep1.to_csv() == rep2.to_csv()
-        lines = rep1.to_csv().strip().split("\n")
-        assert lines[0] == "window,size,log_value,normalized,kind"
-        kinds = {line.split(",")[-1] for line in lines[1:]}
-        assert kinds <= {"upper", "torus", "transfer", "bound"}
-        assert len(lines) == 1 + len(rep1.rows)
-
     def test_capacity_skips_recorded_not_fatal(self):
         f = GroupRingElement.indicator(Window.of([(0, 0), (1, 0), (0, 1)]))
         rep = estimate_report(f, WindowSchedule.boxes(2, [2, 6]), budget=500,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from latperm.entropy import WindowSchedule
 from latperm.fkdet import (
-    FAMILY_CSV_HEADER,
     QuadratureConfig,
     constant_sign_probe,
     dimer_det_value,
@@ -280,12 +279,6 @@ class TestFamilies:
             assert r.per_label == "certified-bracket"
             assert r.per_low <= r.det_value <= r.per_high
             assert r.torus_max is not None
-
-    def test_csv_row_shape(self):
-        r = evaluate_family("trinomial-Z", {"a": 2, "b": 1, "c": 1})
-        row = r.csv_row()
-        assert len(row.split(",")) == len(FAMILY_CSV_HEADER.split(","))
-        assert row.startswith("trinomial-Z,a=2;b=1;c=1,")
 
 
 class TestSignProbe:

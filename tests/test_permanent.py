@@ -17,6 +17,7 @@ from latperm.groupring import (
 from latperm.patterns import enumerate_injective
 from latperm.permanent import (
     LogValue,
+    _components,
     _dfs_permanent,
     _rows,
     _scaled_logvalue,
@@ -183,8 +184,30 @@ class TestWindowPermanent:
             assert max(vals) - min(vals) <= 1e-10 * max(1.0, max(vals))
 
 
+def components_by_closure(rows):
+    """(members, target mask) per component, grown from its first row by
+    adding every row that shares a target until none is left."""
+    targets = [{j for j, _ in row} for row in rows]
+    seen, out = set(), []
+    for k in range(len(rows)):
+        if k in seen:
+            continue
+        members, reached = {k}, set(targets[k])
+        while new := {i for i, t in enumerate(targets) if i not in members and t & reached}:
+            members |= new
+            reached.update(*(targets[i] for i in new))
+        seen |= members
+        out.append((sorted(members), sum(1 << j for j in reached)))
+    return out
+
+
 class TestComponents:
     DIMER = elem(2, {(1, 0): 2, (-1, 0): 1, (0, 1): 3, (0, -1): 1})
+
+    @given(st.lists(st.lists(st.integers(0, 11), max_size=3, unique=True), max_size=10))
+    def test_matches_closure(self, targets):
+        rows = [[(j, 1) for j in row] for row in targets]
+        assert _components(rows) == components_by_closure(rows)
 
     @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, 5)
                                      if n * m <= 12])
@@ -501,6 +524,15 @@ class TestTorusCosets:
         assert torus_permanent(f, q).linear == want
         assert torus_permanent(f, q, exact=False).linear == \
             pytest.approx(want, rel=1e-12)
+
+    def test_forty_cosets(self):
+        # 1 + u^40 on Z/4000: H = <40> has index 40, and each coset is a
+        # 100-cycle whose sites all stay or all move, 2 patterns
+        f = ones([[0], [40]])
+        q = TorusQuotient((4000,))
+        assert torus_permanent(f, q).linear == 2 ** 40
+        assert torus_permanent(f, q, exact=False).log == pytest.approx(40 * math.log(2),
+                                                                       rel=1e-12)
 
     def test_budget_counts_one_coset(self):
         # each parity class of the unit dimer 4x4 torus takes 680 nodes;
