@@ -236,7 +236,17 @@ def _num(x):
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(_num(payload), indent=2) + "\n"
+    """The payload as indented JSON. Exact counts print with all their
+    digits: Python's int-to-str digit limit is lifted for this call only,
+    so input parsing keeps it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the limit
+        return json.dumps(_num(payload), indent=2) + "\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(_num(payload), indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _csv(header, rows) -> str:

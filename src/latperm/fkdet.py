@@ -64,11 +64,6 @@ class MahlerResult:
 def _torus_abs(f: GroupRingElement, grid: int, threads: int = 1) -> np.ndarray:
     """|f| evaluated on the shifted midpoint grid ((k+1/2)/grid per axis)."""
     d = f.dim
-    if grid ** d > _GRID_CELL_CAP:
-        raise CapacityError(
-            f"quadrature grid {grid}^{d} exceeds the cell cap", grid ** d,
-            _GRID_CELL_CAP,
-        )
     theta = (np.arange(grid) + 0.5) / grid
     terms = sorted(f.terms.items())
 
@@ -103,10 +98,15 @@ def mahler_measure(
     |f| at eps; the returned error estimate adds the spread over a fixed eps
     sweep to the last refinement difference, and Richardson-style
     extrapolation is applied when the differences shrink geometrically.
+    Every grid level is checked against the cell cap before any runs.
     """
     if f.is_zero():
         raise ValueError("mahler measure of the zero element is undefined")
     grids = [cfg.grid << i for i in range(cfg.refinements + 1)]
+    for g in grids:
+        if g ** f.dim > _GRID_CELL_CAP:
+            raise CapacityError(f"quadrature grid {g}^{f.dim} exceeds the cell cap",
+                                g ** f.dim, _GRID_CELL_CAP)
     eps_levels = sorted(set(_EPS_SWEEP) | {cfg.eps})
     values = {eps: [] for eps in eps_levels}
     for g in grids:
@@ -264,18 +264,13 @@ FAMILY_DEFAULTS = {
 @dataclass(frozen=True)
 class FamilyInstance:
     """One parameterized family member: the nonnegative permanent-side element
-    and the signed determinant-side representative(s) it is compared with.
-
-    relation tells how the sides are asserted to meet: "equality" when the
-    permanent equals the single representative's determinant, "max" when it
-    equals the larger of two."""
+    and the signed determinant-side representative(s) it is compared with."""
 
     family: str
     params: tuple[tuple[str, float], ...]
     dim: int
     permanent_element: GroupRingElement
     det_elements: tuple[GroupRingElement, ...]
-    relation: str
 
     def params_label(self) -> str:
         return ";".join(f"{k}={v:g}" for k, v in self.params)
@@ -308,32 +303,26 @@ def family_instance(family: str, params: dict) -> FamilyInstance:
     if family == "trinomial-Z":
         perm = GroupRingElement(1, {(2,): a, (1,): b, (0,): c})
         dets = (GroupRingElement(1, {(2,): a, (1,): b, (0,): -c}),)
-        relation = "equality"
     elif family == "three-point-Z":
         perm = GroupRingElement(1, {(K,): a, (K - 1,): b, (0,): c})
         dets = (GroupRingElement(1, {(K,): a, (K - 1,): b, (0,): -c}),
                 GroupRingElement(1, {(K,): a, (K - 1,): b, (0,): c}))
-        relation = "max"
     elif family == "four-point-Z":
         perm = GroupRingElement(1, {(K,): a, (K - 1,): b, (1,): c, (0,): d})
         dets = (GroupRingElement(1, {(K,): a, (K - 1,): b, (1,): c, (0,): -d}),
                 GroupRingElement(1, {(K,): a, (K - 1,): b, (1,): -c, (0,): d}))
-        relation = "max"
     elif family == "affine-Z2":
         perm = GroupRingElement(2, {(0, 0): a, (1, 0): b, (0, 1): c})
         dets = (perm,)
-        relation = "equality"
     elif family == "quad-Z2":
         perm = GroupRingElement(2, {(0, 0): a, (1, 0): b, (0, 1): c, (1, 1): d})
         dets = (GroupRingElement(2, {(0, 0): a, (1, 0): b, (0, 1): c, (1, 1): -d}),
                 GroupRingElement(2, {(0, 0): a, (1, 0): -b, (0, 1): c, (1, 1): d}))
-        relation = "max"
     else:
         perm = GroupRingElement(2, {(1, 0): a, (-1, 0): a, (0, 1): b, (0, -1): b})
         dets = (GroupRingElement(2, {(-1, 0): a, (0, 1): b, (0, -1): b, (1, 0): -a}),)
-        relation = "equality"
     ordered = tuple((k, float(vals[k])) for k in names)
-    return FamilyInstance(family, ordered, perm.dim, perm, dets, relation)
+    return FamilyInstance(family, ordered, perm.dim, perm, dets)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 The central quantity is the weighted count of injective (optionally
 interior-covering) patterns on a window, which is the permanent of a
-rectangular site-by-target matrix. Three backends are provided:
+rectangular site-by-target matrix. Three backends read the same rows;
+``sweep`` is the default, ``dfs`` and ``ryser`` are cross-checks:
 
 * ``sweep`` - the sites split into the connected components of the
   site-target graph, and the permanent is the product over the components
@@ -15,7 +16,7 @@ rectangular site-by-target matrix. Three backends are provided:
   it, so integer inputs give exact integers of any size; float values are
   scaled by 2^-512 past 2^512. A torus sweeps one component, see below.
 * ``dfs`` - plain depth-first backtracking without memoization.
-* ``ryser`` - Gray-code Ryser on the dense matrix, with rectangular inputs
+* ``ryser`` - Gray-code Ryser on the same rows, with rectangular inputs
   padded by all-one rows, and coverage handled by inclusion-exclusion over
   the required targets.
 
@@ -89,9 +90,6 @@ class LogValue:
 
     def normalized(self, size: int) -> float:
         return self.log / size
-
-    def is_zero(self) -> bool:
-        return self.sign == 0
 
 
 # ---------------------------------------------------------------------------
@@ -319,60 +317,51 @@ def _dfs_permanent(rows, required_mask: int, exact: bool, budget: int):
 # Ryser
 
 
-def ryser_permanent(M: np.ndarray, exact: bool = False):
-    """Permanent of an m x n matrix (m <= n) by Gray-code Ryser.
+def ryser_permanent(rows, columns, exact: bool = False):
+    """Permanent of the (column, weight) rows on the given columns, by
+    Gray-code Ryser: the cross-check that reads the rows the sweep reads.
 
-    Rectangular inputs are padded with all-one rows and the result divided
-    by (n - m)!; exact mode runs in Python integers.
+    Entries outside ``columns`` are ignored. With m rows and n >= m columns
+    the n - m missing rows count as all-one rows: each term is multiplied by
+    the subset size once per missing row, and the result is divided by
+    (n - m)!. The loop runs over the weights as given, so exact integer
+    weights give an exact integer.
     """
-    M = np.asarray(M)
-    m, n = M.shape
+    m, n = len(rows), len(columns)
     if m > n:
         return 0 if exact else 0.0
     if n == 0:
         return 1 if exact else 1.0
     if n > _RYSER_MAX_COLS:
         raise CapacityError(f"ryser limited to {_RYSER_MAX_COLS} columns", n, _RYSER_MAX_COLS)
+    # the (row, weight) entries of each kept column
+    cols = [[(i, w) for i, row in enumerate(rows) for j, w in row if j == c] for c in columns]
     pad = n - m
-    if exact:
-        cols = [[int(M[i, j]) for i in range(m)] + [1] * pad for j in range(n)]
-        sums = [0] * n
-        total = 0
-        gray = 0
-        for k in range(1, 1 << n):
-            flip = (k & -k).bit_length() - 1
-            gray ^= 1 << flip
-            sign = 1 if gray >> flip & 1 else -1
-            col = cols[flip]
-            for i in range(n):
-                sums[i] += sign * col[i]
-            term = 1
-            for s in sums:
-                term *= s
-                if term == 0:
-                    break
-            total += term if bin(gray).count("1") % 2 == n % 2 else -term
-        if pad:
-            q, r = divmod(total, math.factorial(pad))
-            if r:
-                raise ArithmeticError("ryser padding division was not exact")
-            total = q
-        return total
-    Mp = np.vstack([M.astype(float), np.ones((pad, n))])
-    sums = np.zeros(n)
-    total = 0.0
+    one = 1 if exact else 1.0  # with no rows, float terms still round per factor
+    sums = [0] * m
+    total = 0 if exact else 0.0
     gray = 0
     for k in range(1, 1 << n):
         flip = (k & -k).bit_length() - 1
         gray ^= 1 << flip
-        if gray >> flip & 1:
-            sums += Mp[:, flip]
+        sign = 1 if gray >> flip & 1 else -1
+        for i, w in cols[flip]:
+            sums[i] += sign * w
+        size = gray.bit_count()
+        term = one
+        for s in sums:
+            term *= s
+            if not term:
+                break
         else:
-            sums -= Mp[:, flip]
-        term = sums.prod()
-        total += term if bin(gray).count("1") % 2 == n % 2 else -term
-    if pad:
-        total /= math.factorial(pad)
+            for _ in range(pad):
+                term *= size
+        total += term if size % 2 == n % 2 else -term
+    if not exact:
+        return total / math.factorial(pad)
+    total, r = divmod(total, math.factorial(pad))
+    if r:
+        raise ArithmeticError("ryser padding division was not exact")
     return total
 
 
@@ -412,7 +401,7 @@ def window_permanent(
     F: Window,
     A: Window | None = None,
     mode: str = "admissible",
-    backend: str = "auto",
+    backend: str = "sweep",
     exact: bool | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> LogValue:
@@ -422,7 +411,10 @@ def window_permanent(
     requires the image to cover the interior of F. The result is an exact
     Python int when f has integer coefficients (or exact=True), however
     large; otherwise it is computed in floats with f scaled to max |f_a| = 1.
+    The ``dfs`` and ``ryser`` backends are cross-checks on the same rows.
     """
+    if backend not in ("sweep", "dfs", "ryser"):
+        raise ValueError(f"unknown backend {backend!r}")
     if mode not in ("admissible", "injective"):
         raise ValueError("mode must be 'admissible' or 'injective'")
     A = A if A is not None else f.support()
@@ -438,19 +430,12 @@ def window_permanent(
     req_mask = sum(1 << j for j in required)
 
     exp = 0
-    if backend in ("auto", "sweep"):
+    if backend == "sweep":
         raw, exp = _sweep(rows, req_mask, use_exact, budget)
     elif backend == "dfs":
         raw = _dfs_permanent(rows, req_mask, use_exact, budget)
-    elif backend == "ryser":
-        M = np.zeros((len(rows), len(index)))
-        for i, row in enumerate(rows):
-            for j, w in row:
-                M[i, j] = w
-        raw = _inclusion_exclusion_permanent(M, required, use_exact)
     else:
-        raise ValueError(f"unknown backend {backend!r}")
-
+        raw = _inclusion_exclusion_permanent(rows, len(index), required, use_exact)
     return _scaled_logvalue(raw, exp, normalize, len(F))
 
 
@@ -465,17 +450,17 @@ def _scaled_logvalue(raw, exp, normalize, nsites) -> LogValue:
     return LogValue.from_log(log, sign)
 
 
-def _inclusion_exclusion_permanent(M: np.ndarray, required: list[int], exact: bool):
-    """Coverage-constrained permanent via inclusion-exclusion over required columns."""
+def _inclusion_exclusion_permanent(rows, ncols: int, required: list[int], exact: bool):
+    """Coverage-constrained permanent of the rows over columns 0..ncols-1,
+    via inclusion-exclusion over the required columns dropped."""
     if len(required) > 24:
         raise CapacityError("inclusion-exclusion limited to 24 required columns",
                             len(required), 24)
-    n = M.shape[1]
     total = 0 if exact else 0.0
     for k in range(1 << len(required)):
         drop = {required[i] for i in range(len(required)) if k >> i & 1}
-        keep = [j for j in range(n) if j not in drop]
-        term = ryser_permanent(M[:, keep], exact=exact)
+        keep = [j for j in range(ncols) if j not in drop]
+        term = ryser_permanent(rows, keep, exact=exact)
         total += term if bin(k).count("1") % 2 == 0 else -term
     return total
 
@@ -483,7 +468,7 @@ def _inclusion_exclusion_permanent(M: np.ndarray, required: list[int], exact: bo
 def torus_permanent(
     f: GroupRingElement,
     quotient: TorusQuotient,
-    backend: str = "auto",
+    backend: str = "sweep",
     exact: bool | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> LogValue:
@@ -502,7 +487,7 @@ def torus_permanent(
     backend backtracks over the whole quotient, as a cross-check; any other
     backend raises ValueError.
     """
-    if backend not in ("auto", "sweep", "dfs"):
+    if backend not in ("sweep", "dfs"):
         raise ValueError(f"unknown backend {backend!r}")
     A = f.support()
     if quotient.dim != f.dim:
@@ -536,33 +521,30 @@ def torus_permanent(
 
 
 def matrix_permanent(
-    M, backend: str = "auto", exact: bool = False, budget: int = DEFAULT_BUDGET
+    M, backend: str = "sweep", exact: bool = False, budget: int = DEFAULT_BUDGET
 ):
     """Permanent of a dense matrix (no coverage).
 
-    Auto backend: Gray-code Ryser for small dense matrices, the sweep kernel
-    for sparse or wide ones. exact=True raises ValueError on a non-integer
-    entry; a float sweep beyond the float range raises OverflowError.
+    The rows are the (column, weight) pairs of the nonzero entries; the
+    sweep runs on them, and backend="ryser" runs Gray-code Ryser on the same
+    rows as a cross-check (at most 24 columns). exact=True raises ValueError
+    on a non-integer entry; a float sweep beyond the float range raises
+    OverflowError.
     """
+    if backend not in ("sweep", "ryser"):
+        raise ValueError(f"unknown backend {backend!r}")
     M = np.asarray(M)
     if exact and not all(x == int(x) for x in M.flat):
         raise ValueError("matrix has non-integer entries")
     m, n = M.shape
     if m > n:
         return 0 if exact else 0.0
-    if backend == "auto":
-        density = np.count_nonzero(M) / max(1, M.size)
-        backend = "ryser" if n <= 20 and density >= 0.25 else "sweep"
+    num = int if exact else float
+    rows = [[(j, num(x)) for j, x in enumerate(row) if x] for row in M.tolist()]
     if backend == "ryser":
-        return ryser_permanent(M, exact=exact)
-    if backend == "sweep":
-        rows = []
-        for i in range(m):
-            nz = np.nonzero(M[i])[0]
-            rows.append([(int(j), int(M[i, j]) if exact else float(M[i, j])) for j in nz])
-        value, exp = _sweep(rows, 0, exact, budget)
-        return math.ldexp(value, exp) if exp else value
-    raise ValueError(f"unknown backend {backend!r}")
+        return ryser_permanent(rows, range(n), exact)
+    value, exp = _sweep(rows, 0, exact, budget)
+    return math.ldexp(value, exp) if exp else value
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,12 @@ def factorial_permanent(M):
     m, n = M.shape
     if m > n:
         raise ValueError("need at least as many columns as rows")
+    rows = M.tolist()
     total = 0
     for cols in itertools.permutations(range(n), m):
         w = 1
         for i, j in enumerate(cols):
-            w = w * M[i, j].item()
+            w = w * rows[i][j]
         total += w
     return total
 

@@ -1,6 +1,7 @@
 """CLI tests: parsing, subcommand output shapes, exit codes, determinism."""
 
 import json
+import sys
 
 import oracles
 import pytest
@@ -389,6 +390,16 @@ class TestPeriodic:
         assert [row["torus"] for row in payload["tori"]] == ["4x4", "3x3"]
         assert payload["tori"][0]["count"] == 73984
         assert [s.split(":")[0] for s in payload["capacity_skipped"]] == ["6x6", "4x6", "3x4"]
+
+    def test_count_past_4300_digits(self, capsys):
+        # 10 + u on Z/4301: the identity gives 10^4301 and the rotation 1
+        ten = '{"dim":1,"terms":[{"exp":[0],"coef":10},{"exp":[1],"coef":1}]}'
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, ["periodic", "--inline", ten, "--tori", "4301"])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit  # lifted for the output only
+        count = json.loads(out, parse_int=str)["tori"][0]["count"]
+        assert count == "1" + "0" * 4300 + "1"  # 10**4301 + 1
 
     def test_two_dim_quotients(self, capsys):
         code, out, _ = run(capsys, ["periodic", "--inline", L_SHAPE,

@@ -9,6 +9,7 @@ import scipy.integrate as si
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import latperm.fkdet as fkdet
 from latperm.entropy import WindowSchedule
 from latperm.fkdet import (
     QuadratureConfig,
@@ -92,6 +93,17 @@ class TestMahlerMeasure:
         f = GroupRingElement(2, {(0, 0): 1, (1, 1): 1})
         with pytest.raises(CapacityError):
             mahler_measure(f, QuadratureConfig(grid=8192))
+
+    def test_grid_capacity_checked_before_any_level(self, monkeypatch):
+        # in 4-D at grid 40 the first level fits and the second, 80^4, does not
+        def level(*args, **kwargs):
+            raise AssertionError("a quadrature level ran")
+
+        monkeypatch.setattr(fkdet, "_torus_abs", level)
+        f = GroupRingElement(4, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1,
+                                 (0, 1, 0, 0): 1, (0, 0, 1, 1): 1})
+        with pytest.raises(CapacityError, match=r"grid 80\^4 exceeds the cell cap"):
+            mahler_measure(f, QuadratureConfig(grid=40))
 
     def test_levels_recorded(self):
         r = mahler_measure(poly({0: -1, 1: 1, 2: 1}), CFG)

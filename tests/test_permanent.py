@@ -118,6 +118,21 @@ class TestWindowPermanent:
             for v in vals[1:]:
                 assert v == ref
 
+    def test_backends_agree_past_float_precision(self):
+        # (2^60 + 1) + u on two sites: c^2 + c + 1, with c too big for a float
+        c = 2**60 + 1
+        f = elem(1, {(0,): c, (1,): 1})
+        F = Window.box([0], [2])
+        for backend in ("sweep", "dfs", "ryser"):
+            got = window_permanent(f, F, mode="injective", backend=backend).linear
+            assert got == c * c + c + 1
+
+    @pytest.mark.parametrize("backend", ["auto", "swep"])
+    def test_unknown_backend_is_rejected(self, backend):
+        # before the zero element's early return
+        with pytest.raises(ValueError, match="unknown backend"):
+            window_permanent(elem(1, {}), Window.box([0], [3]), backend=backend)
+
     @given(weighted_instance())
     @settings(deadline=None, max_examples=40)
     def test_float_tracks_exact(self, inst):
@@ -373,7 +388,28 @@ class TestMatrixPermanent:
 
     def test_ryser_column_cap(self):
         with pytest.raises(CapacityError):
-            ryser_permanent(np.ones((2, 30)))
+            matrix_permanent(np.ones((2, 30)), backend="ryser")
+
+    @pytest.mark.parametrize("backend", ["auto", "dfs"])
+    def test_unknown_backend_is_rejected(self, backend):
+        # before the early return of a matrix with more rows than columns
+        with pytest.raises(ValueError, match="unknown backend"):
+            matrix_permanent(np.ones((3, 2)), backend=backend)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_default_is_the_sweep_and_matches_ryser(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 11))
+        m = n if seed % 2 == 0 else int(rng.integers(1, n + 1))
+        M = rng.integers(-3, 4, size=(m, n))
+        got = matrix_permanent(M, exact=True)
+        assert got == matrix_permanent(M, backend="sweep", exact=True)
+        assert got == matrix_permanent(M, backend="ryser", exact=True)
+        X = rng.random((m, n)) + 0.5
+        got = matrix_permanent(X)
+        assert type(got) is float
+        assert got == matrix_permanent(X, backend="sweep")
+        assert got == pytest.approx(matrix_permanent(X, backend="ryser"), rel=1e-12)
 
     @pytest.mark.parametrize("backend", ["sweep", "ryser"])
     def test_exact_mode_rejects_non_integer_entries(self, backend):
@@ -394,6 +430,36 @@ class TestMatrixPermanent:
         a = matrix_permanent(M, backend="ryser", exact=True)
         b = matrix_permanent(M, backend="sweep", exact=True)
         assert a == b == oracles.factorial_permanent(M)
+
+
+class TestRyser:
+    ROWS = [[(0, 2), (5, 7), (1, 3)], [(1, 1), (9, 4)]]
+
+    def test_ignores_entries_outside_columns(self):
+        # on columns 0 and 1 the rows are [2, 3] and [0, 1]
+        for cols in ([0, 1], [1, 0]):
+            assert ryser_permanent(self.ROWS, cols, exact=True) == 2
+            assert ryser_permanent(self.ROWS, cols) == 2.0
+
+    def test_pads_rectangular_rows(self):
+        # on columns 0, 1, 5 the rows are [2, 3, 7] and [0, 1, 0]
+        assert ryser_permanent(self.ROWS, [0, 1, 5], exact=True) == 9
+        assert ryser_permanent([[(0, 1), (1, 2), (2, 3)]], range(3), exact=True) == 6
+        assert ryser_permanent([], range(4), exact=True) == 1
+        assert ryser_permanent([], range(4)) == 1.0
+        assert ryser_permanent(self.ROWS, [1], exact=True) == 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_factorial_oracle_on_kept_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        M = rng.integers(-3, 4, size=(int(rng.integers(1, 5)), 8))
+        M[rng.random(M.shape) < 0.3] = 0
+        rows = [[(j, int(x)) for j, x in enumerate(row) if x] for row in M]
+        keep = sorted(rng.choice(8, size=int(rng.integers(len(M), 7)), replace=False))
+        want = oracles.factorial_permanent(M[:, keep])
+        assert ryser_permanent(rows, keep, exact=True) == want
+        floats = [[(j, float(w)) for j, w in row] for row in rows]
+        assert ryser_permanent(floats, keep) == pytest.approx(want, rel=1e-12, abs=1e-9)
 
 
 class TestTorusPermanent:
@@ -464,7 +530,7 @@ class TestTorusPermanent:
         v = torus_permanent(elem(1, {}), TorusQuotient((4,)), exact=exact)
         assert v.linear == 0 and v.sign == 0 and v.log == -math.inf
 
-    @pytest.mark.parametrize("backend", ["ryser", "swep"])
+    @pytest.mark.parametrize("backend", ["ryser", "swep", "auto"])
     def test_unknown_backend_is_rejected(self, backend):
         f = ones([[0], [1]])
         with pytest.raises(ValueError, match="unknown backend"):
