@@ -253,49 +253,118 @@ def transfer_matrix(f: GroupRingElement) -> TransferMatrix:
                                    np.concatenate(weight)[order]))
 
 
-def _power_iteration(B: Block, tol: float, max_iter: int) -> tuple[float, bool]:
-    """Spectral radius estimate of a nonnegative matrix, and whether the
-    iteration converged."""
-    # power iteration on I + B: the shift washes out rotating spectra of
-    # periodic chains; convergence is judged on the iterate residual, not on
-    # successive eigenvalue estimates, which can plateau before settling
-    n = B.size
-    x = np.full(n, 1.0 / n)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = B @ x + x
-        total = y.sum()
-        y /= total
-        lam = total - 1.0
-        if np.abs(y - x).sum() <= tol:
-            return lam, True
-        x = y
-    return lam, False
+_WARM_UP = 32  # steps each sector runs before the likely top one is chosen
+_BOUND_EVERY = 8  # steps between Collatz-Wielandt bracket checks
+# relative widening of a bracket's hi against rounding: a row of (I + B) x
+# sums at most 22 nonnegative terms and every x_i is a normal float, so the
+# computed ratios are within about 25 ulp of the exact ones
+_BOUND_MARGIN = 1e-12
+
+
+class _SectorSolve:
+    """Power iteration on I + B for one sector, run in stages so that the
+    sectors can take turns.
+
+    The shift washes out rotating spectra of periodic chains; convergence is
+    judged on the iterate residual, not on successive eigenvalue estimates,
+    which can plateau before settling. y = (I + B) x is kept for the current
+    iterate x, so its Collatz-Wielandt bracket costs no extra product.
+    """
+
+    def __init__(self, B: Block):
+        self.B = B
+        self.x = np.full(B.size, 1.0 / B.size)
+        self.y = B @ self.x + self.x
+        self.lam = 0.0
+        self.steps = 0
+        self.converged = False
+        self.bracket: tuple[float, float] | None = None
+        self.pruned = False
+        self.value: float | None = None  # what the sector adds to the radius
+
+    def run(self, steps: int, tol: float) -> None:
+        for _ in range(steps):
+            total = self.y.sum()
+            x = self.y / total
+            self.lam = total - 1.0
+            self.steps += 1
+            if np.abs(x - self.x).sum() <= tol:
+                self.converged = True
+                return
+            self.x = x
+            self.y = self.B @ x + x
+
+    def take_bracket(self) -> None:
+        """lo <= 1 + rho(B) <= hi from the least and the largest
+        ((I + B) x)_i / x_i. The bound needs x > 0, so the bracket is None
+        unless every x_i is a finite normal float and the ratios are finite."""
+        x = self.x
+        self.bracket = None
+        if x.min() >= np.finfo(float).tiny and np.isfinite(x).all():
+            with np.errstate(over="ignore"):
+                r = self.y / x
+            lo, hi = float(r.min()), float(r.max())
+            if math.isfinite(hi):
+                self.bracket = (lo, hi)
+
+    def below(self, rho: float) -> bool:
+        """Whether the bracket, its hi widened by _BOUND_MARGIN, puts the
+        sector's radius below rho."""
+        return self.bracket is not None and \
+            self.bracket[1] * (1 + _BOUND_MARGIN) < 1 + rho
+
+
+def _solve_sectors(T: TransferMatrix, tol: float,
+                   max_iter: int) -> list[_SectorSolve]:
+    """Solve every popcount sector of T, the likely top one first.
+
+    Each sector warms up for _WARM_UP steps; the one with the largest
+    estimate then converges first. Every other sector runs until it
+    converges or its bracket falls below the radius found so far, checked
+    every _BOUND_EVERY steps; then it is pruned. A sector that does neither
+    within max_iter steps raises ArithmeticError. Up to 1024 states, dense
+    eigenvalues give each sector's value: they must agree with a converged
+    iteration and lie under a pruned sector's widened hi."""
+    cross_check = T.size <= 1 << 10
+    solves = [_SectorSolve(B) for B in T.sectors()]
+    for s in solves:
+        s.run(min(_WARM_UP, max_iter), tol)
+    solves.sort(key=lambda s: s.lam, reverse=True)
+    rho = 0.0
+    for s in solves:
+        while not s.converged:
+            s.take_bracket()
+            s.pruned = s.below(rho)
+            if s.pruned or s.steps >= max_iter:
+                break
+            s.run(min(_BOUND_EVERY, max_iter - s.steps), tol)
+        if cross_check:
+            dense = float(np.abs(np.linalg.eigvals(s.B.dense())).max())
+            if s.converged and abs(dense - s.lam) > 1e-9 * max(1.0, dense):
+                raise ArithmeticError(
+                    f"power iteration ({s.lam}) and eigenvalues ({dense}) disagree"
+                )
+            if s.pruned and s.below(dense):
+                raise ArithmeticError(
+                    f"eigenvalues ({dense}) exceed the bracket {s.bracket}"
+                )
+            s.value = dense
+        elif s.converged:
+            s.value = s.lam
+        elif not s.pruned:
+            raise ArithmeticError(
+                f"power iteration did not converge within {max_iter} steps"
+            )
+        if s.value is not None:
+            rho = max(rho, s.value)
+    return solves
 
 
 def _spectral_radius(T: TransferMatrix, tol: float = 1e-13,
                      max_iter: int = 500000) -> float:
-    """Largest spectral radius over the popcount sectors of T.
-
-    Up to 1024 states, dense eigenvalues of each sector give the value and
-    must agree with power iteration wherever it converged."""
-    cross_check = T.size <= 1 << 10
-    rho = 0.0
-    for B in T.sectors():
-        lam, converged = _power_iteration(B, tol, max_iter)
-        if cross_check:
-            dense = float(np.abs(np.linalg.eigvals(B.dense())).max())
-            if converged and abs(dense - lam) > 1e-9 * max(1.0, dense):
-                raise ArithmeticError(
-                    f"power iteration ({lam}) and eigenvalues ({dense}) disagree"
-                )
-            lam = dense
-        elif not converged:
-            raise ArithmeticError(
-                f"power iteration did not converge within {max_iter} steps"
-            )
-        rho = max(rho, lam)
-    return rho
+    """Largest spectral radius over the popcount sectors of T."""
+    return max((s.value for s in _solve_sectors(T, tol, max_iter)
+                if s.value is not None), default=0.0)
 
 
 def transfer_pressure(f: GroupRingElement | TransferMatrix) -> float:

@@ -62,21 +62,32 @@ class MahlerResult:
 
 
 def _torus_abs(f: GroupRingElement, grid: int, threads: int = 1) -> np.ndarray:
-    """|f| evaluated on the shifted midpoint grid ((k+1/2)/grid per axis)."""
+    """|f| evaluated on the shifted midpoint grid ((k+1/2)/grid per axis).
+
+    Each term is c exp(2 pi i phase), with the phase summed over only the
+    axes the term moves along and broadcast over the rest. A term that moves
+    along one axis is thus a 1-D character, with no exp per cell. Adding a
+    zero exponent's phase is exact, so every cell is bit-identical to exp of
+    the phase summed over all axes. A product of per-axis characters would
+    differ in the last bit, which moves a level by an ulp and the error
+    estimate, a difference of levels, by up to 2.5e-10 relative."""
     d = f.dim
     theta = (np.arange(grid) + 0.5) / grid
     terms = sorted(f.terms.items())
 
+    def along(axis: int, x: np.ndarray) -> np.ndarray:
+        return x.reshape((1,) * axis + (-1,) + (1,) * (d - 1 - axis))
+
     def chunk_abs(rows: np.ndarray) -> np.ndarray:
-        shape = (len(rows),) + (grid,) * (d - 1)
-        vals = np.zeros(shape, dtype=complex)
+        axes = [rows] + [theta] * (d - 1)
+        vals = np.zeros((len(rows),) + (grid,) * (d - 1), dtype=complex)
         for p, c in terms:
-            phase = (p[0] * rows).reshape((len(rows),) + (1,) * (d - 1))
-            for axis in range(1, d):
-                ax_shape = [1] * d
-                ax_shape[axis] = grid
-                phase = phase + (p[axis] * theta).reshape(ax_shape)
-            vals = vals + c * np.exp(2j * np.pi * phase)
+            # in place, to hold one term at a time; 0-d for the constant term
+            z = np.asarray(2j * np.pi * sum(along(a, p[a] * axes[a])
+                                            for a in range(d) if p[a]))
+            np.exp(z, out=z)
+            z *= c
+            vals += z
         return np.abs(vals)
 
     if threads > 1 and grid >= 2 * threads:
@@ -110,9 +121,10 @@ def mahler_measure(
     eps_levels = sorted(set(_EPS_SWEEP) | {cfg.eps})
     values = {eps: [] for eps in eps_levels}
     for g in grids:
-        mags = _torus_abs(f, g, threads=threads)
+        # log is monotone, so each eps floor is a floor on one pass of logs
+        logs = np.log(np.maximum(_torus_abs(f, g, threads=threads), eps_levels[0]))
         for eps in eps_levels:
-            values[eps].append(float(np.log(np.maximum(mags, eps)).mean()))
+            values[eps].append(float(np.maximum(logs, np.log(eps)).mean()))
     main = values[cfg.eps]
     diffs = [b - a for a, b in zip(main, main[1:])]
     converged = len(diffs) < 2 or abs(diffs[-1]) <= abs(diffs[-2]) + 1e-15

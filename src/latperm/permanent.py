@@ -528,13 +528,14 @@ def matrix_permanent(
     The rows are the (column, weight) pairs of the nonzero entries; the
     sweep runs on them, and backend="ryser" runs Gray-code Ryser on the same
     rows as a cross-check (at most 24 columns). exact=True raises ValueError
-    on a non-integer entry; a float sweep beyond the float range raises
-    OverflowError.
+    on an entry that is not a finite integer, infinite or NaN ones included;
+    a float sweep beyond the float range raises OverflowError.
     """
     if backend not in ("sweep", "ryser"):
         raise ValueError(f"unknown backend {backend!r}")
     M = np.asarray(M)
-    if exact and not all(x == int(x) for x in M.flat):
+    if exact and not all(isinstance(x, int) or float(x).is_integer()
+                         for x in M.flat):
         raise ValueError("matrix has non-integer entries")
     m, n = M.shape
     if m > n:

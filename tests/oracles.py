@@ -210,3 +210,52 @@ def claimed_positions_transfer(offset_weights):
                 continue
             T[(S | 1 << a) >> 1, S] += c
     return T
+
+
+def unpruned_spectral_radius(sectors, tol=1e-13, max_iter=500000):
+    """Largest spectral radius over sector blocks, every sector run to the end.
+
+    Each block is iterated from the uniform vector by power iteration on
+    I + B until the L1 change of the normalized iterate is at most tol, with
+    no sector skipped or cut short. When the blocks hold 1024 states or fewer
+    in all, each sector's dense eigenvalues give its value instead. Blocks
+    need .size, .dense() and a product B @ x; the steps use that product, so
+    the result can be compared bit for bit with a solver that uses it too.
+    """
+    dense = sum(B.size for B in sectors) <= 1 << 10
+    rho = 0.0
+    for B in sectors:
+        x = np.full(B.size, 1.0 / B.size)
+        for _ in range(max_iter):
+            y = B @ x + x
+            total = y.sum()
+            y /= total
+            lam = total - 1.0
+            if np.abs(y - x).sum() <= tol:
+                break
+            x = y
+        else:
+            if not dense:
+                raise ArithmeticError("power iteration did not converge")
+        if dense:
+            lam = float(np.abs(np.linalg.eigvals(B.dense())).max())
+        rho = max(rho, lam)
+    return rho
+
+
+def direct_torus_abs(terms, dim, grid):
+    """|f| on the midpoint grid ((k+1/2)/grid per axis), one exp of the
+    summed phase per term and cell; `terms` maps exponent tuples to
+    coefficients, which are added up in sorted order of their exponents."""
+    theta = (np.arange(grid) + 0.5) / grid
+    axes = np.meshgrid(*([theta] * dim), indexing="ij")
+    vals = np.zeros((grid,) * dim, dtype=complex)
+    for p, c in sorted(terms.items()):
+        phase = sum(e * t for e, t in zip(p, axes))
+        vals += c * np.exp(2j * np.pi * phase)
+    return np.abs(vals)
+
+
+def direct_log_mean(terms, dim, grid, eps):
+    """Mean over the midpoint grid of log max(|f|, eps)."""
+    return float(np.log(np.maximum(direct_torus_abs(terms, dim, grid), eps)).mean())

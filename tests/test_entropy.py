@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latperm.entropy as entropy
@@ -142,10 +143,58 @@ class TestTransferSectors:
 
     def test_dense_disagreement_raises(self, monkeypatch):
         T = transfer_matrix(indicator(0, 1, 2, 4))
-        monkeypatch.setattr(entropy, "_power_iteration",
-                            lambda B, tol, max_iter: (123.0, True))
+
+        def converge_to_123(solve, steps, tol):
+            solve.lam, solve.converged = 123.0, True
+
+        monkeypatch.setattr(entropy._SectorSolve, "run", converge_to_123)
         with pytest.raises(ArithmeticError, match="disagree"):
             entropy._spectral_radius(T)
+
+    def test_radius_above_pruning_bracket_raises(self, monkeypatch):
+        # a bracket of [1, 1] claims every sector has radius 0, so each
+        # sector after the first is pruned and its dense radius exceeds it
+        T = transfer_matrix(indicator(0, 1, 2, 4))
+
+        def null_bracket(solve):
+            solve.bracket = (1.0, 1.0)
+
+        monkeypatch.setattr(entropy._SectorSolve, "take_bracket", null_bracket)
+        with pytest.raises(ArithmeticError, match="exceed the bracket"):
+            entropy._spectral_radius(T)
+
+    @pytest.mark.parametrize("weights", [
+        {0: 1, 7: 1, 8: 1},
+        {0: 1, 9: 1, 10: 1},
+        {0: 2, 1: 0.5, 4: 3},
+        {0: 1, 3: 2, 6: 1, 9: 3, 10: 1},
+    ])
+    def test_pruned_sectors_lie_under_their_bracket(self, weights):
+        T = transfer_matrix(GroupRingElement(1, {(a,): c for a, c in weights.items()}))
+        assert T.size <= 1 << 10
+        solves = entropy._solve_sectors(T, 1e-13, 500000)
+        pruned = [s for s in solves if s.pruned]
+        assert pruned
+        for s in pruned:
+            dense = float(np.abs(np.linalg.eigvals(s.B.dense())).max())
+            lo, hi = s.bracket
+            assert 1 + dense <= hi
+            assert not s.converged and s.x.min() > 0
+
+    def test_underflowing_iterate_is_never_pruned(self):
+        # the 6-state sector has radius 1e200, far below the top sector's
+        # 1e300, but its iterate underflows, so no bracket can prune it
+        T = transfer_matrix(GroupRingElement(1, {(0,): 1, (3,): 1e300, (4,): 1}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solves = entropy._solve_sectors(T, 1e-13, 2000)
+        tiny = np.finfo(float).tiny
+        low = [s for s in solves if s.x.min() < tiny]
+        assert [s.B.size for s in low] == [6]
+        assert low[0].bracket is None and not low[0].pruned
+        assert low[0].steps == 2000 and low[0].value < 1e201
+        assert all(s.x.min() >= tiny for s in solves if s.pruned)
+        assert max(s.value for s in solves) == 1e300
 
     @pytest.mark.parametrize("params", [
         {"a": 1, "b": 1, "c": 1, "K": 16},
@@ -203,6 +252,28 @@ def test_sector_radius_matches_dense_spectrum(weights):
     assert np.array_equal(pop[rows], pop[cols])
     rho = float(np.abs(np.linalg.eigvals(D)).max())
     assert abs(entropy._spectral_radius(T) - rho) <= 1e-9 * max(1.0, rho)
+
+
+_WEIGHT = st.one_of(st.integers(1, 4), st.floats(0.25, 4.0))
+
+
+@st.composite
+def _spanned_weights(draw):
+    """Weights on 0, the span (1..12) and up to four offsets between."""
+    span = draw(st.integers(1, 12))
+    inner = draw(st.sets(st.integers(1, 11), max_size=4))
+    return {a: draw(_WEIGHT) for a in {0, span} | {a for a in inner if a < span}}
+
+
+@settings(deadline=None, max_examples=40)
+@given(_spanned_weights())
+@example({0: 1, 11: 1, 12: 1})
+@example({0: 1, 10: 3, 11: 2})
+@example({0: 0.5, 1: 3.25, 5: 1, 12: 2})
+def test_pruned_radius_is_bit_identical_to_unpruned(weights):
+    T = transfer_matrix(GroupRingElement(1, {(a,): c for a, c in weights.items()}))
+    got = entropy._spectral_radius(T)
+    assert got.hex() == oracles.unpruned_spectral_radius(T.sectors()).hex()
 
 
 class TestTransferPressure:

@@ -4,6 +4,7 @@ permanent-vs-determinant comparison, example families, and the sign probe."""
 import math
 
 import numpy as np
+import oracles
 import pytest
 import scipy.integrate as si
 from hypothesis import example, given, settings
@@ -104,6 +105,42 @@ class TestMahlerMeasure:
                                  (0, 1, 0, 0): 1, (0, 0, 1, 1): 1})
         with pytest.raises(CapacityError, match=r"grid 80\^4 exceeds the cell cap"):
             mahler_measure(f, QuadratureConfig(grid=40))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("terms,grid", [
+        ({(0,): 1, (1,): 1, (2,): -1}, 64),
+        ({(-3,): 0.5, (0,): -2, (7,): 1.25}, 64),
+        ({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): -1}, 64),
+        ({(-1, 0): 1, (0, 1): 2, (0, -1): 2, (1, 0): -1}, 32),
+        ({(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}, 16),
+        ({(3, -2, 1): 1.5, (0, 0, 0): -1, (1, 1, 1): 0.25}, 16),
+    ])
+    def test_torus_abs_matches_phase_sum(self, terms, grid, threads):
+        # a zero exponent adds an exact 0 to the phase, so skipping its axis
+        # leaves every cell bit-identical
+        f = GroupRingElement(len(next(iter(terms))), terms)
+        got = fkdet._torus_abs(f, grid, threads=threads)
+        assert np.array_equal(got, oracles.direct_torus_abs(terms, f.dim, grid))
+
+    @pytest.mark.parametrize("terms", [
+        {(0,): 1, (1,): 1},
+        {(0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): -2},
+        # 2cos(2 pi x) + 2cos(2 pi y) vanishes on midpoints with x + y = 1/2,
+        # so every level and every eps floors some cells
+        {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1},
+        {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1},
+    ])
+    def test_levels_and_eps_spread_match_phase_sum(self, terms):
+        f = GroupRingElement(len(next(iter(terms))), terms)
+        cfg = QuadratureConfig(grid=16 if f.dim == 3 else 64, eps=1e-9)
+        r = mahler_measure(f, cfg)
+        for g, v in r.levels:
+            want = oracles.direct_log_mean(terms, f.dim, g, cfg.eps)
+            assert abs(v - want) <= 1e-13 * max(1.0, abs(want))
+        g = r.levels[-1][0]
+        finals = [oracles.direct_log_mean(terms, f.dim, g, eps)
+                  for eps in (1e-8, 1e-10, 1e-12)]
+        assert abs(r.eps_spread - (max(finals) - min(finals))) <= 1e-13
 
     def test_levels_recorded(self):
         r = mahler_measure(poly({0: -1, 1: 1, 2: 1}), CFG)

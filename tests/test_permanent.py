@@ -420,6 +420,15 @@ class TestMatrixPermanent:
         # integral floats still count as integers
         assert matrix_permanent(M * 2, backend=backend, exact=True) == 13
 
+    @pytest.mark.parametrize("backend", ["sweep", "ryser"])
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_exact_mode_rejects_non_finite_entries(self, backend, x):
+        with pytest.raises(ValueError, match="non-integer"):
+            matrix_permanent([[x]], backend=backend, exact=True)
+        with pytest.raises(ValueError, match="non-integer"):
+            matrix_permanent(np.array([[1, 2], [x, 3]]), backend=backend,
+                             exact=True)
+
     @given(st.integers(0, 10**6))
     @settings(deadline=None, max_examples=30)
     def test_backends_agree_on_random_matrices(self, seed):
