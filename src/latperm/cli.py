@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verify failures, 2 argument or input errors,
 3 capacity budget exceeded (partial output is still written), 4 numerical
-failure (a transfer eigen-solve that did not converge or failed its
-cross-check, or an inexact Ryser padding division).
+failure (a transfer eigen-solve that did not converge, whose value left
+its Collatz-Wielandt bracket or failed its dense check, or an inexact Ryser
+padding division).
 
 All output is formatted here: _dump writes every JSON payload and _csv
 every CSV, and both print floats with 12 significant digits and a '.'

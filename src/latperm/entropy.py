@@ -280,6 +280,7 @@ class _SectorSolve:
         self.converged = False
         self.bracket: tuple[float, float] | None = None
         self.pruned = False
+        self.certified = False  # a converged lam pinned by its bracket
         self.value: float | None = None  # what the sector adds to the radius
 
     def run(self, steps: int, tol: float) -> None:
@@ -320,12 +321,16 @@ def _solve_sectors(T: TransferMatrix, tol: float,
 
     Each sector warms up for _WARM_UP steps; the one with the largest
     estimate then converges first. Every other sector runs until it
-    converges or its bracket falls below the radius found so far, checked
-    every _BOUND_EVERY steps; then it is pruned. A sector that does neither
-    within max_iter steps raises ArithmeticError. Up to 1024 states, dense
-    eigenvalues give each sector's value: they must agree with a converged
-    iteration and lie under a pruned sector's widened hi."""
-    cross_check = T.size <= 1 << 10
+    converges or, checked every _BOUND_EVERY steps, its bracket falls below
+    the radius found so far; then it is pruned and has no value.
+
+    A converged sector's value is its lam. 1 + lam must lie in the bracket
+    of its final iterate, widened by _BOUND_MARGIN; the bracket holds 1 + rho
+    too, so one at most 1e-9 (1 + lam) wide certifies lam. Up to 1024
+    states, dense eigenvalues check an uncertified lam to 1e-9 and give the
+    value of a sector that neither converged nor was pruned; above, such a
+    sector raises ArithmeticError, as does every failed check."""
+    dense_ok = T.size <= 1 << 10
     solves = [_SectorSolve(B) for B in T.sectors()]
     for s in solves:
         s.run(min(_WARM_UP, max_iter), tol)
@@ -338,23 +343,24 @@ def _solve_sectors(T: TransferMatrix, tol: float,
             if s.pruned or s.steps >= max_iter:
                 break
             s.run(min(_BOUND_EVERY, max_iter - s.steps), tol)
-        if cross_check:
-            dense = float(np.abs(np.linalg.eigvals(s.B.dense())).max())
-            if s.converged and abs(dense - s.lam) > 1e-9 * max(1.0, dense):
-                raise ArithmeticError(
-                    f"power iteration ({s.lam}) and eigenvalues ({dense}) disagree"
-                )
-            if s.pruned and s.below(dense):
-                raise ArithmeticError(
-                    f"eigenvalues ({dense}) exceed the bracket {s.bracket}"
-                )
-            s.value = dense
-        elif s.converged:
+        if s.converged:
+            s.take_bracket()
             s.value = s.lam
+            lo, hi = s.bracket or (-math.inf, math.inf)
+            if not lo * (1 - _BOUND_MARGIN) <= 1 + s.lam <= hi * (1 + _BOUND_MARGIN):
+                raise ArithmeticError(
+                    f"power iteration ({s.lam}) lies outside its bracket {s.bracket}")
+            s.certified = hi - lo <= 1e-9 * (1 + s.lam)
+            if dense_ok and not s.certified:
+                dense = float(np.abs(np.linalg.eigvals(s.B.dense())).max())
+                if abs(dense - s.lam) > 1e-9 * max(1.0, dense):
+                    raise ArithmeticError(
+                        f"power iteration ({s.lam}) and eigenvalues ({dense}) disagree")
         elif not s.pruned:
-            raise ArithmeticError(
-                f"power iteration did not converge within {max_iter} steps"
-            )
+            if not dense_ok:
+                raise ArithmeticError(
+                    f"power iteration did not converge within {max_iter} steps")
+            s.value = float(np.abs(np.linalg.eigvals(s.B.dense())).max())
         if s.value is not None:
             rho = max(rho, s.value)
     return solves
@@ -376,14 +382,6 @@ def transfer_pressure(f: GroupRingElement | TransferMatrix) -> float:
     if rho <= 0:
         return float("-inf")
     return math.log(rho)
-
-
-def transfer_torus_value(f: GroupRingElement, n: int) -> float:
-    """Trace of the n-th transfer power, which reproduces the quotient
-    permanent once n clears the wrap-around width 2K+1."""
-    T = transfer_matrix(f)
-    return float(sum(np.trace(np.linalg.matrix_power(B.dense(), n))
-                     for B in T.sectors()))
 
 
 # ---------------------------------------------------------------------------

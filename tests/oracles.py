@@ -218,9 +218,10 @@ def unpruned_spectral_radius(sectors, tol=1e-13, max_iter=500000):
     Each block is iterated from the uniform vector by power iteration on
     I + B until the L1 change of the normalized iterate is at most tol, with
     no sector skipped or cut short. When the blocks hold 1024 states or fewer
-    in all, each sector's dense eigenvalues give its value instead. Blocks
-    need .size, .dense() and a product B @ x; the steps use that product, so
-    the result can be compared bit for bit with a solver that uses it too.
+    in all, a sector that does not converge takes its dense eigenvalues as
+    its value instead. Blocks need .size, .dense() and a product B @ x; the
+    steps use that product, so the result can be compared bit for bit with a
+    solver that uses it too.
     """
     dense = sum(B.size for B in sectors) <= 1 << 10
     rho = 0.0
@@ -237,10 +238,22 @@ def unpruned_spectral_radius(sectors, tol=1e-13, max_iter=500000):
         else:
             if not dense:
                 raise ArithmeticError("power iteration did not converge")
-        if dense:
-            lam = float(np.abs(np.linalg.eigvals(B.dense())).max())
+            lam = dense_spectral_radius(B.dense())
         rho = max(rho, lam)
     return rho
+
+
+def dense_spectral_radius(M):
+    """Largest eigenvalue modulus of a dense square matrix."""
+    return float(np.abs(np.linalg.eigvals(M)).max())
+
+
+def transfer_torus_value(offset_weights, n):
+    """Trace of the n-th power of the dense claimed-positions transfer
+    matrix, which reproduces the quotient permanent on Z/n once n clears
+    the wrap-around width 2K+1."""
+    T = claimed_positions_transfer(offset_weights)
+    return float(np.trace(np.linalg.matrix_power(T, n)))
 
 
 def direct_torus_abs(terms, dim, grid):

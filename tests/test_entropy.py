@@ -3,6 +3,7 @@ matrices, torus estimates, closed-form bounds, and the combined report."""
 
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latperm.entropy as entropy
+from latperm.cli import main
 from latperm.entropy import (
     EstimateReport,
     WindowSchedule,
@@ -25,7 +27,6 @@ from latperm.entropy import (
     torus_estimates,
     transfer_matrix,
     transfer_pressure,
-    transfer_torus_value,
     upper_estimates,
     zero_entropy,
 )
@@ -38,6 +39,22 @@ GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 
 def indicator(*offsets):
     return GroupRingElement.indicator(Window.of([(a,) for a in offsets]))
+
+
+_TRINOMIALS = [{0: 1, K - 1: 1, K: 1} for K in range(2, 11)]
+
+
+def _seeded_weights(kind, count=20):
+    """Seeded weights of span at most 10: 0, the span and up to three
+    offsets between, with integer weights 1..5 or float weights 0.1..6."""
+    rng = random.Random(11 if kind is int else 12)
+    out = []
+    for _ in range(count):
+        span = rng.randint(1, 10)
+        offsets = {0, span} | {rng.randint(0, span) for _ in range(rng.randint(0, 3))}
+        out.append({a: rng.randint(1, 5) if kind is int else rng.uniform(0.1, 6.0)
+                    for a in sorted(offsets)})
+    return out
 
 
 class TestWindowSchedule:
@@ -142,25 +159,30 @@ class TestTransferSectors:
             entropy._spectral_radius(T, max_iter=3)
 
     def test_dense_disagreement_raises(self, monkeypatch):
+        # with no bracket to certify it, a converged value meets the dense check
         T = transfer_matrix(indicator(0, 1, 2, 4))
 
         def converge_to_123(solve, steps, tol):
             solve.lam, solve.converged = 123.0, True
 
+        def no_bracket(solve):
+            solve.bracket = None
+
         monkeypatch.setattr(entropy._SectorSolve, "run", converge_to_123)
+        monkeypatch.setattr(entropy._SectorSolve, "take_bracket", no_bracket)
         with pytest.raises(ArithmeticError, match="disagree"):
             entropy._spectral_radius(T)
 
     def test_radius_above_pruning_bracket_raises(self, monkeypatch):
-        # a bracket of [1, 1] claims every sector has radius 0, so each
-        # sector after the first is pruned and its dense radius exceeds it
+        # a bracket of [1, 1] claims every sector has radius 0, so the first
+        # sector's converged value lies above it
         T = transfer_matrix(indicator(0, 1, 2, 4))
 
         def null_bracket(solve):
             solve.bracket = (1.0, 1.0)
 
         monkeypatch.setattr(entropy._SectorSolve, "take_bracket", null_bracket)
-        with pytest.raises(ArithmeticError, match="exceed the bracket"):
+        with pytest.raises(ArithmeticError, match="outside its bracket"):
             entropy._spectral_radius(T)
 
     @pytest.mark.parametrize("weights", [
@@ -176,7 +198,7 @@ class TestTransferSectors:
         pruned = [s for s in solves if s.pruned]
         assert pruned
         for s in pruned:
-            dense = float(np.abs(np.linalg.eigvals(s.B.dense())).max())
+            dense = oracles.dense_spectral_radius(s.B.dense())
             lo, hi = s.bracket
             assert 1 + dense <= hi
             assert not s.converged and s.x.min() > 0
@@ -194,7 +216,37 @@ class TestTransferSectors:
         assert low[0].bracket is None and not low[0].pruned
         assert low[0].steps == 2000 and low[0].value < 1e201
         assert all(s.x.min() >= tiny for s in solves if s.pruned)
-        assert max(s.value for s in solves) == 1e300
+        assert max(s.value for s in solves if s.value is not None) == 1e300
+
+    @pytest.mark.parametrize("weights", _TRINOMIALS + _seeded_weights(int)
+                             + _seeded_weights(float))
+    def test_dense_radius_lies_in_every_bracket(self, weights):
+        # the dense oracle on every sector: equal to each converged value,
+        # inside each certified bracket and under each pruned sector's hi,
+        # both widened by the margin
+        T = transfer_matrix(GroupRingElement(1, {(a,): c for a, c in weights.items()}))
+        assert T.size <= 1 << 10
+        margin = entropy._BOUND_MARGIN
+        for s in entropy._solve_sectors(T, 1e-13, 500000):
+            dense = oracles.dense_spectral_radius(s.B.dense())
+            assert s.converged or s.pruned
+            if s.converged:
+                assert abs(s.value - dense) <= 1e-9 * max(1.0, dense)
+            if s.certified:
+                lo, hi = s.bracket
+                assert lo * (1 - margin) <= 1 + dense <= hi * (1 + margin)
+                assert hi - lo <= 1e-9 * (1 + s.lam)
+            if s.pruned:
+                assert s.value is None and 1 + dense <= s.bracket[1] * (1 + margin)
+
+    def test_certified_and_pruned_sectors_both_occur(self):
+        solves = [s for w in _seeded_weights(int) + _seeded_weights(float)
+                  for s in entropy._solve_sectors(
+                      transfer_matrix(GroupRingElement(1, {(a,): c for a, c in w.items()})),
+                      1e-13, 500000)]
+        assert sum(s.certified for s in solves) >= 20
+        assert sum(s.pruned for s in solves) >= 20
+
 
     @pytest.mark.parametrize("params", [
         {"a": 1, "b": 1, "c": 1, "K": 16},
@@ -240,6 +292,46 @@ class TestTransferSectors:
         assert row.size == 8
 
 
+class TestDenseFallback:
+    """Dense eigenvalues run only on sectors that no bracket certifies."""
+
+    @pytest.fixture
+    def eigvals_calls(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(M):
+            calls.append(M.shape)
+            return eigvals(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        return calls
+
+    @pytest.mark.parametrize("weights", _TRINOMIALS)
+    def test_trinomials_make_no_dense_call(self, eigvals_calls, weights):
+        transfer_pressure(GroupRingElement(1, {(a,): c for a, c in weights.items()}))
+        assert eigvals_calls == []
+
+    def test_compare_three_point_makes_no_dense_call(self, eigvals_calls, capsys):
+        assert main(["compare", "three-point-Z", "--params", "K=9"]) == 0
+        capsys.readouterr()
+        assert eigvals_calls == []
+
+    def test_wide_bracket_takes_the_dense_check(self, eigvals_calls):
+        # the top sector's Perron vector has near-zero entries, so the
+        # bracket of its converged iterate is far too wide to certify it
+        T = transfer_matrix(GroupRingElement(1, {(0,): 1, (3,): 4, (6,): 3}))
+        solves = entropy._solve_sectors(T, 1e-13, 500000)
+        top = max(solves, key=lambda s: s.value or 0.0)
+        assert top.converged and not top.certified
+        lo, hi = top.bracket
+        assert hi - lo > 0.1
+        assert (top.B.size, top.B.size) in eigvals_calls
+        dense = oracles.dense_spectral_radius(T.dense())
+        assert abs(top.value - dense) <= 1e-9 * dense
+        assert abs(transfer_pressure(T) - math.log(dense)) <= 1e-9
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.dictionaries(st.integers(0, 8), st.integers(1, 4), min_size=1,
                        max_size=5))
@@ -250,7 +342,7 @@ def test_sector_radius_matches_dense_spectrum(weights):
     pop = np.array([bin(s).count("1") for s in range(T.size)])
     rows, cols = np.nonzero(D)
     assert np.array_equal(pop[rows], pop[cols])
-    rho = float(np.abs(np.linalg.eigvals(D)).max())
+    rho = oracles.dense_spectral_radius(D)
     assert abs(entropy._spectral_radius(T) - rho) <= 1e-9 * max(1.0, rho)
 
 
@@ -313,14 +405,15 @@ class TestTransferPressure:
     def test_trace_reproduces_torus_counts(self):
         f = indicator(0, 1, 2)
         for n in range(6, 12):
-            tr = transfer_torus_value(f, n)
+            tr = oracles.transfer_torus_value({0: 1, 1: 1, 2: 1}, n)
             count = torus_permanent(f, TorusQuotient((n,)), exact=True).linear
             assert abs(tr - count) < 1e-6
 
     def test_trace_reproduces_weighted_torus(self):
-        f = GroupRingElement(1, {(0,): 1, (1,): 2, (2,): 1})
+        weights = {0: 1, 1: 2, 2: 1}
+        f = GroupRingElement(1, {(a,): c for a, c in weights.items()})
         for n in (6, 8, 10):
-            tr = transfer_torus_value(f, n)
+            tr = oracles.transfer_torus_value(weights, n)
             v = torus_permanent(f, TorusQuotient((n,)), exact=True).linear
             assert abs(tr - v) <= 1e-9 * max(1.0, abs(v))
 
