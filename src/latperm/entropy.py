@@ -12,7 +12,7 @@ sandwich everything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -376,12 +376,15 @@ def _spectral_radius(T: TransferMatrix, tol: float = 1e-13,
 def transfer_pressure(f: GroupRingElement | TransferMatrix) -> float:
     """Exact pressure over Z: log spectral radius of the transfer matrix.
 
-    Takes the weight itself or its already built TransferMatrix."""
+    Takes the weight itself or its already built TransferMatrix. The shift
+    I of the power iteration on I + B mixes periodic chains only while B's
+    weights are not far above 1, so B / max weight is solved."""
     T = f if isinstance(f, TransferMatrix) else transfer_matrix(f)
-    rho = _spectral_radius(T)
+    scale = float(T.matrix.weight.max())
+    rho = _spectral_radius(replace(T, matrix=replace(T.matrix, weight=T.matrix.weight / scale)))
     if rho <= 0:
         return float("-inf")
-    return math.log(rho)
+    return math.log(rho) + math.log(scale)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .groupring import (
     separated_on_quotient,
     sub,
 )
-from .patterns import DEFAULT_BUDGET, enumerate_injective, enumerate_with_image, pattern_sign
+from .patterns import DEFAULT_BUDGET, enumerate_injective, pattern_sign
 
 _KEY_BITS = 62  # int64 keys while every key bit is below this
 _VALUE_LIMIT = 1 << 62  # exact int64 values stay below this
@@ -196,15 +196,17 @@ def _sweep(rows, required_mask: int, exact: bool, budget: int):
     total = (1 if exact else 1.0), 0
     nodes = 0
     for members, mask in parts:
-        value, exp, nodes = _frontier([rows[k] for k in members], required_mask & mask,
-                                      exact, budget, nodes)
+        snaps, nodes = _frontier([rows[k] for k in members], required_mask & mask,
+                                 exact, budget, nodes, (len(members),))
+        _, vals, exp, _ = snaps[0]
+        value, exp = _shrink(int(vals.sum()) if exact else float(vals.sum()), exp)
         if value == 0:
             return zero
         total = _shrink(total[0] * value, total[1] + exp)
     return total
 
 
-def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int):
+def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int, cuts):
     """Frontier DP over the rows, vectorized over the states of each step.
 
     A state is the set of claimed targets that a later row can still claim,
@@ -220,21 +222,30 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int):
     could reach 2^62. Float values are divided by 2^512 after each row that
     takes one past it, and ``exp`` counts the bits. A node is one (state,
     choice) pair, counted before a row is built; ``nodes`` counts those
-    already spent. Returns value, exp and the new count, for value * 2^exp.
+    already spent. Runs up to the last of the ascending row indices
+    ``cuts`` and returns (snapshots, nodes): before each cut, the sorted
+    keys, values, exp and {target: key bit} of the live targets, which rows
+    on both sides of the cut can claim. At cut len(rows) the one value is
+    the permanent.
     """
-    nrows = len(rows)
     last = {j: k for k, row in enumerate(rows) for j, _ in row}
-    zero = 0 if exact else 0.0
     keys = np.zeros(1, dtype=np.int64)
     vals = np.ones(1, dtype=np.int64 if exact else np.float64)
     bit: dict[int, int] = {}  # target -> its key bit; dead entries are never read
     used = 0  # the bits of the live targets
     exp = 0
-    for k, row in enumerate(rows):
+    snaps = []
+    for k in range(cuts[-1] + 1):
+        if k in cuts:
+            live = {j: b for j, b in bit.items() if last[j] >= k}
+            snaps += [(keys, vals, exp, live)] * cuts.count(k)
+        if k == cuts[-1]:
+            break
+        row = rows[k]
         nodes += keys.size * len(row)
         if nodes > budget:
             raise CapacityError(
-                f"sweep kernel exceeded {budget} nodes at row {k}/{nrows} of a component",
+                f"sweep kernel exceeded {budget} nodes at row {k}/{len(rows)} of a component",
                 nodes, budget,
             )
         if exact and vals.dtype != object:
@@ -265,8 +276,8 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int):
         # convert keys & keep, not keys: a dying bit may sit above 62
         base = (keys & keep).astype(object if used >> _KEY_BITS else np.int64, copy=False)
         kk, vv = _candidates(keys, vals, base, choices, need)
-        if kk.size == 0:
-            return zero, 0, nodes
+        if kk.size == 0:  # no pattern: every later state is empty
+            return snaps + [(kk, vv, exp, {})] * (len(cuts) - len(snaps)), nodes
         order = np.argsort(kk, kind="stable")
         kk = kk[order]
         vv = vv[order]
@@ -276,8 +287,7 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int):
         if not exact and max(vals.max(), -vals.min()) >= _FLOAT_LIMIT:
             vals = vals / _FLOAT_LIMIT
             exp += 512
-    total = vals.sum()
-    return _shrink(int(total) if exact else float(total), exp) + (nodes,)
+    return snaps, nodes
 
 
 def _dfs_permanent(rows, required_mask: int, exact: bool, budget: int):
@@ -478,14 +488,21 @@ def torus_permanent(
     bijections of the quotient with displacements in the projected support.
     Requires distinct displacements to stay distinct on the quotient. The
     value is exact or scaled like in window_permanent; exact=True with a
-    non-integer coefficient raises ValueError.
+    non-integer coefficient raises ValueError. The coordinates are first
+    sorted by decreasing modulus, ties in the given order, which is a group
+    isomorphism: the sweep runs along the longest axis.
 
-    The ``sweep`` backend (the default) sweeps the component of the origin
-    in the site-target graph, the coset of H = <A - A>, and multiplies its
-    value in once per coset: all [G:H] cosets are translates with the same
-    weights. Only the swept coset counts against the budget. The ``dfs``
-    backend backtracks over the whole quotient, as a cross-check; any other
-    backend raises ValueError.
+    The ``sweep`` backend (the default) takes the component of the origin
+    in the site-target graph, the coset H of <A - A>, and raises its value
+    to the power [G:H]: the cosets are translates with the same weights.
+    Let H span m slabs (values of coordinate 0), a = ceil(m/2), b = m - a.
+    The sweep stops before slab a with F_a[K], K the claimed targets among
+    those L that slabs [0, a) and [a, m) share, and keeps F_b from before
+    slab b. Translation by a site v of slab a maps slabs [0, b) onto [a, m)
+    weight for weight and F_b's live targets onto L, so per(H) = sum over K
+    of F_a[K] F_b[v^-1 (L - K)]. Only swept rows count against the budget.
+    The ``dfs`` backend backtracks over the whole quotient, as a
+    cross-check; any other backend raises ValueError.
     """
     if backend not in ("sweep", "dfs"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -497,6 +514,9 @@ def torus_permanent(
         raise ValueError(
             f"displacements {pair[0]} and {pair[1]} collide modulo {quotient.moduli}"
         )
+    axes = sorted(range(f.dim), key=lambda i: -quotient.moduli[i])
+    f = GroupRingElement(f.dim, {tuple(p[i] for i in axes): c for p, c in f.terms.items()})
+    quotient = TorusQuotient(tuple(quotient.moduli[i] for i in axes))
     weights, normalize = _weights(f, project(f, quotient), exact)
     use_exact = normalize is None
     sites = quotient.points()
@@ -507,17 +527,45 @@ def torus_permanent(
         return _scaled_logvalue(raw, 0, normalize, quotient.size)
     # Sites s, s' share a target iff s - s' is in A - A, so the components
     # are the cosets x + H, the first one H itself. Site s claims s + a with
-    # weight w_a, so s -> s + x maps H's rows onto x + H's, weight for weight:
-    # every coset has H's permanent. Multiplied in once per coset, as _sweep
-    # does, it gives the full sweep's exact values; floats can differ only
-    # where another coset's site order rounds differently.
+    # weight w_a, so s -> s + x maps H's rows onto x + H's, weight for weight.
+    # H meets each of its m slabs in a translate of its slab 0, as many rows.
     parts = _components(rows)
     members, mask = parts[0]
-    value, exp, _ = _frontier([rows[k] for k in members], mask, use_exact, budget, 0)
-    total = (1 if use_exact else 1.0), 0
-    for _ in parts:
-        total = _shrink(total[0] * value, total[1] + exp)
-    return _scaled_logvalue(*total, normalize, quotient.size)
+    m = len({sites[k][0] for k in members})
+    a, b, width = m - m // 2, m // 2, len(members) // m
+    (snap_b, snap_a), _ = _frontier([rows[k] for k in members], mask, use_exact, budget, 0,
+                                    (b * width, a * width))
+    v = sites[members[a * width]] if a < m else sites[0]
+    value, exp = _join(snap_a, snap_b, lambda t: index[quotient.reduce(sub(sites[t], v))],
+                       use_exact)
+    h, n = _scaled_logvalue(value, exp, normalize, len(members)), len(parts)
+    if use_exact:
+        return LogValue.from_linear(h.linear ** n)
+    return LogValue.from_log(n * h.log, h.sign ** n)
+
+
+def _join(snap, other, partner, exact: bool):
+    """Sum over K of F[K] * G[partner(L - K)] as (value, exp), for the
+    _frontier snapshots F = ``snap`` with live targets L and G = ``other``.
+    Exact products are int64 while sum |F| * max |G| is below 2^62; float
+    halves are scaled to at most 1 by powers of two, so none overflows."""
+    keys, vals, exp, live = snap
+    okeys, ovals, oexp, olive = other
+    rest = keys ^ sum(live.values())
+    want = np.zeros(keys.size, dtype=okeys.dtype)
+    for t, b in live.items():
+        want |= (rest >> b.bit_length() - 1 & 1).astype(okeys.dtype) * olive[partner(t)]
+    order = np.argsort(want)  # sorted needles search faster
+    want = want[order]
+    at = np.minimum(np.searchsorted(okeys, want), okeys.size - 1)
+    hit = okeys[at] == want
+    x, y = vals[order[hit]], ovals[at[hit]]
+    if exact:
+        if int(np.abs(x).sum()) * int(np.abs(y).max(initial=0)) >= _VALUE_LIMIT:
+            x, y = x.astype(object), y.astype(object)
+        return int((x * y).sum()), 0
+    ex, ey = (math.frexp(np.abs(z).max(initial=0.0))[1] for z in (x, y))
+    return float(np.dot(np.ldexp(x, -ex), np.ldexp(y, -ey))), exp + oexp + ex + ey
 
 
 def matrix_permanent(
@@ -549,18 +597,7 @@ def matrix_permanent(
 
 
 # ---------------------------------------------------------------------------
-# signed sums and the finite determinant identity
-
-
-def signed_target_sum(f: GroupRingElement, F: Window, target: Window,
-                      budget: int = DEFAULT_BUDGET) -> float:
-    """Sum of sgn(order isomorphism) * pattern weight over patterns with the
-    given image. Linear-domain on purpose: these sums cancel."""
-    A = f.support()
-    total = 0.0
-    for p in enumerate_with_image(A, F, target, budget=budget):
-        total += pattern_sign(p) * p.weight(f)
-    return total
+# the finite determinant identity
 
 
 def ffstar_section_matrix(f: GroupRingElement, F: Window) -> np.ndarray:

@@ -3,7 +3,9 @@
 Everything here is written as directly from the definitions as possible:
 exhaustive product filters, factorial-expansion permanents, plain recursive
 backtracking, and Jensen's formula via polynomial roots. These are slow on
-purpose and kept free of the package's kernel machinery.
+purpose and kept free of the package's kernel machinery, except
+``full_quotient_permanent``, which runs the plain frontier sweep over a
+whole torus as the reference for the torus split and join.
 """
 
 from __future__ import annotations
@@ -115,6 +117,33 @@ def backtracking_torus_permanent(displacement_weights, moduli):
         return total
 
     return go(0)
+
+
+def full_quotient_permanent(f, quotient, exact=None, budget=10**8):
+    """Torus permanent from one frontier sweep over every site of the
+    quotient in the given coordinate order: every coset is swept, with no
+    coset power, no join and no change of axes. Same value conventions as
+    ``torus_permanent``."""
+    from latperm.groupring import project
+    from latperm.permanent import _rows, _scaled_logvalue, _sweep, _weights
+
+    weights, normalize = _weights(f, project(f, quotient), exact)
+    sites = quotient.points()
+    rows = _rows(sites, weights, {p: j for j, p in enumerate(sites)}, quotient.reduce)
+    raw, exp = _sweep(rows, (1 << len(sites)) - 1, normalize is None, budget)
+    return _scaled_logvalue(raw, exp, normalize, quotient.size)
+
+
+def signed_target_sum(f, F, target, budget=10**8):
+    """Sum of sgn(order isomorphism) * pattern weight over the patterns of f
+    on F whose image is ``target``. Linear-domain on purpose: these sums
+    cancel."""
+    from latperm.patterns import enumerate_with_image, pattern_sign
+
+    total = 0.0
+    for p in enumerate_with_image(f.support(), F, target, budget=budget):
+        total += pattern_sign(p) * p.weight(f)
+    return total
 
 
 def kasteleyn_torus(a, b, m, n):

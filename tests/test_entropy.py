@@ -402,6 +402,30 @@ class TestTransferPressure:
         lhs = transfer_pressure(f.convolve(g))
         assert lhs >= transfer_pressure(f) + transfer_pressure(g) - 1e-6
 
+    @pytest.mark.parametrize("weights,want", [
+        ({0: 1, 3: 1e300, 4: 1}, 690.7755278982137),
+        ({0: 1e250, 1: 1, 5: 1}, 575.6462732485114),
+    ])
+    def test_extreme_weights_converge(self, monkeypatch, weights, want):
+        # solved on the weights divided by the largest, every sector
+        # converges or is pruned; unscaled, sectors ran all 500000 steps
+        solves = []
+        solve = entropy._solve_sectors
+
+        def spy(T, tol, max_iter):
+            solves.extend(solve(T, tol, max_iter))
+            return solves
+
+        monkeypatch.setattr(entropy, "_solve_sectors", spy)
+        f = GroupRingElement(1, {(a,): c for a, c in weights.items()})
+        assert transfer_pressure(f) == pytest.approx(want, rel=1e-12)
+        assert solves and all(s.converged or s.pruned for s in solves)
+
+    @pytest.mark.parametrize("weights", _TRINOMIALS)
+    def test_unit_weights_solve_unscaled(self, weights):
+        T = transfer_matrix(GroupRingElement(1, {(a,): c for a, c in weights.items()}))
+        assert transfer_pressure(T) == math.log(entropy._spectral_radius(T))
+
     def test_trace_reproduces_torus_counts(self):
         f = indicator(0, 1, 2)
         for n in range(6, 12):

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latperm.groupring import (
     CapacityError,
@@ -11,7 +12,7 @@ from latperm.groupring import (
     Window,
     dilate,
     interior,
-    project,
+    separated_on_quotient,
     sub,
 )
 from latperm.patterns import enumerate_injective
@@ -20,9 +21,7 @@ from latperm.permanent import (
     _components,
     _dfs_permanent,
     _rows,
-    _scaled_logvalue,
     _sweep,
-    _weights,
     bregman_bound,
     det_identity_check,
     doubly_stochastic_extension,
@@ -30,12 +29,12 @@ from latperm.permanent import (
     finite_det_ffstar,
     matrix_permanent,
     ryser_permanent,
-    signed_target_sum,
     torus_permanent,
     vdw_bound,
     window_permanent,
 )
 
+import latperm.permanent as permanent
 import oracles
 
 
@@ -579,14 +578,14 @@ class TestTorusCosets:
     @pytest.mark.parametrize("exact", [True, False])
     def test_matches_unsplit_sweep(self, f, moduli, value, exact):
         q = TorusQuotient(moduli)
-        weights, normalize = _weights(f, project(f, q), exact)
-        sites = q.points()
-        rows = _rows(sites, weights, {p: j for j, p in enumerate(sites)}, q.reduce)
-        raw, exp = _sweep(rows, (1 << len(sites)) - 1, exact, 10**7)
-        want = _scaled_logvalue(raw, exp, normalize, q.size)
+        want = oracles.full_quotient_permanent(f, q, exact)
         got = torus_permanent(f, q, exact=exact)
-        # the same product of the same component value: bit for bit in floats
-        assert got == want
+        if exact:
+            assert got == want
+        else:
+            # the join adds its products up in another order than the sweep
+            assert got.sign == want.sign
+            assert got.log == pytest.approx(want.log, rel=1e-12)
         if value is not None:
             assert got.linear == pytest.approx(value, rel=1e-12)
 
@@ -610,12 +609,128 @@ class TestTorusCosets:
                                                                        rel=1e-12)
 
     def test_budget_counts_one_coset(self):
-        # each parity class of the unit dimer 4x4 torus takes 680 nodes;
-        # sweeping both took 1360
+        # the half sweep of one parity class of the unit dimer 4x4 torus
+        # takes 200 nodes; the whole class took 680 and both classes 1360
         f = ones([[1, 0], [-1, 0], [0, 1], [0, -1]])
-        assert torus_permanent(f, TorusQuotient((4, 4)), budget=680).linear == 73984
+        assert torus_permanent(f, TorusQuotient((4, 4)), budget=200).linear == 73984
         with pytest.raises(CapacityError):
-            torus_permanent(f, TorusQuotient((4, 4)), budget=679)
+            torus_permanent(f, TorusQuotient((4, 4)), budget=199)
+
+
+DIMER_34 = elem(2, {(1, 0): 3, (-1, 0): 3, (0, 1): 4, (0, -1): 4})
+
+
+@st.composite
+def torus_instance(draw, signed=True):
+    d = draw(st.integers(1, 3))
+    moduli = draw(st.lists(st.integers(1, (12, 5, 3)[d - 1]), min_size=d, max_size=d))
+    n = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d),
+                        min_size=n, max_size=n, unique=True))
+    lo = -3 if signed else 1
+    coefs = draw(st.lists(st.integers(lo, 3).filter(bool), min_size=n, max_size=n))
+    f = elem(d, dict(zip(pts, coefs)))
+    q = TorusQuotient(moduli)
+    assume(separated_on_quotient(f.support(), q)[0])
+    return f, q
+
+
+class TestTorusJoin:
+    """The sweep runs ceil(m/2) of the m slabs of the origin's coset and
+    joins that frontier with its own translate; the oracle sweeps every
+    site of the quotient, every coset, with no join and no change of axes."""
+
+    CASES = [
+        (elem(1, {(0,): 1, (1,): 2, (3,): 1}), (7,)),  # 7 slabs
+        (elem(1, {(-1,): 2, (0,): 1, (1,): 3}), (8,)),  # 8 slabs
+        (elem(1, {(0,): 1, (2,): 3}), (10,)),  # 2 cosets of 5 slabs
+        (elem(2, {(0, 0): 1, (0, 1): 2}), (5, 3)),  # 1 slab: H = 0 x Z/3
+        (elem(2, {(0, 0): 1, (2, 0): 1, (0, 1): 2}), (4, 3)),  # 2 slabs, 0 and 2
+        (elem(2, {(0, 0): 1, (2, 0): 1}), (6, 3)),  # 3 slabs, 0, 2 and 4; 6 cosets
+        (elem(2, {(0, 0): 2, (2, 0): 3}), (3, 6)),  # the same, axes swapped
+        (elem(2, {(1, 0): 2, (-1, 0): 2, (0, 1): 3, (0, -1): 1}), (5, 4)),
+        (elem(2, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): 1}), (4, 6)),
+        (DIMER_34, (6, 6)),  # values past 2^62: Python ints
+        (DIMER_34, (8, 8)),
+        (elem(3, {(0, 0, 0): 1, (1, 0, 0): 2, (0, 1, 0): 1, (0, 0, 1): 3}), (3, 2, 2)),
+        (elem(3, {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}), (3, 3, 3)),
+        # an int64 scalar in the coset power would overflow here
+        (elem(3, {(-1, -1, 0): 3, (-1, -1, -1): 3, (-1, 1, -1): 2}), (5, 3, 3)),
+    ]
+
+    @pytest.mark.parametrize("f,moduli", CASES)
+    def test_matches_full_quotient_oracle(self, f, moduli):
+        q = TorusQuotient(moduli)
+        want = oracles.full_quotient_permanent(f, q).linear
+        got = torus_permanent(f, q)
+        assert type(got.linear) is int and got.linear == want
+        approx = torus_permanent(f, q, exact=False)
+        assert approx.sign == 1
+        assert approx.log == pytest.approx(got.log, rel=1e-12)
+
+    @pytest.mark.parametrize("f,moduli", [c for c in CASES if math.prod(c[1]) <= 16])
+    def test_matches_dfs(self, f, moduli):
+        q = TorusQuotient(moduli)
+        assert torus_permanent(f, q).linear == torus_permanent(f, q, backend="dfs").linear
+
+    @given(torus_instance())
+    @settings(deadline=None, max_examples=60)
+    def test_signed_tori_match_oracle(self, inst):
+        f, q = inst
+        assert torus_permanent(f, q).linear == oracles.full_quotient_permanent(f, q).linear
+
+    @given(torus_instance(signed=False))
+    @settings(deadline=None, max_examples=40)
+    def test_float_tori_match_exact_log(self, inst):
+        f, q = inst
+        want = torus_permanent(f, q)
+        got = torus_permanent(f, q, exact=False)
+        assert got.sign == 1
+        assert got.log == pytest.approx(want.log, rel=1e-12, abs=1e-12)
+
+    def test_float_halves_past_2_512(self, monkeypatch):
+        # each half of 1 + u1 + u1^2 + u2 on 700x2 is divided by 2^512, and
+        # their products would pass 2^1024 unless the join rescales them
+        f = elem(2, {(0, 0): 1, (1, 0): 1, (2, 0): 1, (0, 1): 1})
+        q = TorusQuotient((700, 2))
+        exps = []
+        join = permanent._join
+
+        def spy(snap, other, partner, exact):
+            exps.extend((snap[2], other[2]))
+            return join(snap, other, partner, exact)
+
+        monkeypatch.setattr(permanent, "_join", spy)
+        got = torus_permanent(f, q, exact=False)
+        assert min(exps) >= 512
+        want = torus_permanent(f, q)
+        assert want.linear > 2 ** 1100
+        assert got.log == pytest.approx(want.log, rel=1e-12)
+
+    @pytest.mark.parametrize("f,moduli", [
+        (elem(2, {(1, 0): 1, (-1, 0): 1, (0, 1): 2, (0, -1): 2}), (4, 12)),
+        (elem(2, {(1, 0): 1, (-1, 0): 1, (0, 1): 2, (0, -1): 2}), (6, 8)),
+        (elem(3, {(0, 0, 0): 1, (1, 0, 0): 2, (0, 1, 0): 3, (0, 0, 1): 4}), (3, 2, 4)),
+        (elem(3, {(0, 0, 0): 1, (1, 0, 0): 2, (0, 1, 0): 3, (0, 0, 1): 4}), (2, 4, 3)),
+    ])
+    def test_transposed_tori_agree(self, f, moduli):
+        d = len(moduli)
+        q = TorusQuotient(moduli)
+        want = torus_permanent(f, q).linear
+        assert want == oracles.full_quotient_permanent(f, q).linear
+        for axes in itertools.permutations(range(d)):
+            g = elem(d, {tuple(p[i] for i in axes): c for p, c in f.terms.items()})
+            assert torus_permanent(g, TorusQuotient([moduli[i] for i in axes])).linear == want
+
+    def test_long_axis_is_swept(self):
+        # 4x12 sweeps its 12-long axis like 12x4, in 2420 nodes; in the
+        # given order it took 7.4 million
+        f = ones([[1, 0], [-1, 0], [0, 1], [0, -1]])
+        want = torus_permanent(f, TorusQuotient((12, 4))).linear
+        for moduli in ((4, 12), (12, 4)):
+            assert torus_permanent(f, TorusQuotient(moduli), budget=2420).linear == want
+            with pytest.raises(CapacityError):
+                torus_permanent(f, TorusQuotient(moduli), budget=2419)
 
 
 class TestFloatRange:
@@ -659,7 +774,7 @@ class TestSignedSums:
         f = ones([[0], [1]])
         F = Window.of([[0], [1]])
         for target in ([(0,), (1,)], [(1,), (2,)], [(0,), (2,)]):
-            assert signed_target_sum(f, F, Window.of(target)) == pytest.approx(1.0)
+            assert oracles.signed_target_sum(f, F, Window.of(target)) == pytest.approx(1.0)
 
     def test_section_matrix_for_two_term_element(self):
         f = ones([[0], [1]])
