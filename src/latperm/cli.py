@@ -291,9 +291,7 @@ def cmd_permanent(cfg: RunConfig) -> tuple[str, int]:
     sizes = cfg.windows or (_default_sizes(f.dim)[-1],)
     if len(sizes) != 1:
         raise ValueError("permanent takes a single window size")
-    n = sizes[0]
-    F = Window.box((0,) * f.dim, (n,) * f.dim)
-    label = f"box{n}" if f.dim == 1 else "x".join([str(n)] * f.dim)
+    ((label, F),) = WindowSchedule.boxes(f.dim, sizes)
     values = {mode: window_permanent(f, F, mode=mode, budget=cfg.budget)
               for mode in ("admissible", "injective")}
     if cfg.out_format == "csv":

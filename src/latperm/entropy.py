@@ -407,12 +407,6 @@ def entropy_upper_bound(A: Window) -> float:
     return math.lgamma(n + 1) / n
 
 
-def zero_entropy(A: Window) -> bool:
-    """Entropy of X_A vanishes exactly when |A| <= 2 over Z^d (the difference
-    of two distinct displacements has infinite order there)."""
-    return len(A) <= 2
-
-
 # ---------------------------------------------------------------------------
 # combined report
 

@@ -1,19 +1,20 @@
 """Determinant-side computations: logarithmic Mahler measures by torus
 quadrature (with an exact root-based route in dimension one), finite
-determinant sections of f f^*, the permanent-versus-determinant comparison,
-and the worked example families relating the two sides."""
+determinant sections of f f^*, and the worked example families on which
+the two sides are compared."""
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groupring import CapacityError, GroupRingElement, Window
-from .patterns import DEFAULT_BUDGET, enumerate_with_image, pattern_sign, target_sets
-from .permanent import ffstar_section_matrix, window_permanent
+from .groupring import CapacityError, GroupRingElement
+from .patterns import DEFAULT_BUDGET
+from .permanent import ffstar_section_matrix
 from .entropy import (
     WindowSchedule,
     default_tori,
@@ -90,9 +91,11 @@ def _torus_abs(f: GroupRingElement, grid: int, threads: int = 1) -> np.ndarray:
             vals += z
         return np.abs(vals)
 
-    if threads > 1 and grid >= 2 * threads:
-        chunks = np.array_split(theta, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # no more workers than cores: a huge --threads must not start a thread per row
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1 and grid >= 2 * workers:
+        chunks = np.array_split(theta, workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(chunk_abs, chunks))
         return np.concatenate(parts, axis=0)
     return chunk_abs(theta)
@@ -196,7 +199,7 @@ def _merge_multiple_roots(coeffs, roots: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# finite sections and the permanent comparison
+# finite sections
 
 
 @dataclass(frozen=True)
@@ -225,37 +228,6 @@ def fk_finite_sections(f: GroupRingElement, schedule: WindowSchedule) -> list[Se
         else:
             value = float("-inf")
         rows.append(SectionRow(label, len(F), value))
-    return rows
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Permanent upper estimate next to the determinant section at one window."""
-
-    window: str
-    size: int
-    iper_upper: float
-    section_value: float
-    det_le_iper_sq: bool
-
-
-def per_vs_det_report(
-    f: GroupRingElement,
-    schedule: WindowSchedule,
-    budget: int = DEFAULT_BUDGET,
-) -> list[ComparisonRow]:
-    """Window-by-window comparison of the injective permanent estimate of |f|
-    with the finite determinant section, including the finite inequality
-    det section <= (injective sum)^2."""
-    rows = []
-    for (label, F), section in zip(schedule, fk_finite_sections(f, schedule)):
-        v = window_permanent(f.abs(), F, mode="injective", budget=budget)
-        # a section without a positive determinant is -inf and always below
-        logdet = 2 * len(F) * section.value
-        ok = section.value == float("-inf") or \
-            logdet <= 2 * v.log + 1e-9 * max(1.0, abs(logdet))
-        rows.append(ComparisonRow(label, len(F), v.normalized(len(F)),
-                                  section.value, ok))
     return rows
 
 
@@ -398,89 +370,3 @@ def evaluate_family(
     return FamilyReport(inst, per_low, per_high, "certified-bracket",
                         det_results, det_value, det_error, torus_max,
                         tuple(skipped + torus_skipped))
-
-
-# ---------------------------------------------------------------------------
-# sign structure probe
-
-
-@dataclass(frozen=True)
-class TargetSignReport:
-    target: Window
-    patterns: int
-    vacuous: bool
-    constant: bool
-    sign: int | None
-
-
-@dataclass(frozen=True)
-class SignProbe:
-    reports: tuple[TargetSignReport, ...]
-    all_constant: bool
-
-
-def constant_sign_probe(
-    f: GroupRingElement,
-    F: Window,
-    targets=None,
-    budget: int = DEFAULT_BUDGET,
-) -> SignProbe:
-    """Check whether the signed pattern terms share one sign per image set.
-
-    For each image set (by default all interior-covering ones), enumerates the
-    patterns with exactly that image and compares the signs of
-    sign(order isomorphism) * product of coefficient signs. Empty image sets
-    are reported as vacuous and count as constant."""
-    A = f.support()
-    if targets is None:
-        targets = target_sets(A, F, require_interior=True)
-    reports = []
-    for target in targets:
-        seen: set[int] = set()
-        count = 0
-        for p in enumerate_with_image(A, F, target, budget=budget):
-            s = pattern_sign(p)
-            for disp in p.displacements:
-                if f.coef(disp) < 0:
-                    s = -s
-            seen.add(s)
-            count += 1
-        vacuous = count == 0
-        constant = len(seen) <= 1
-        sign = next(iter(seen)) if (constant and not vacuous) else None
-        reports.append(TargetSignReport(target, count, vacuous, constant, sign))
-    return SignProbe(tuple(reports), all(r.constant for r in reports))
-
-
-# ---------------------------------------------------------------------------
-# dimer integrand forms
-
-
-def dimer_det_value(a: float, b: float,
-                    cfg: QuadratureConfig = QuadratureConfig(),
-                    form: str = "cos2") -> float:
-    """Half the torus mean of log(2a^2+2b^2 - trig form) in its equivalent
-    shapes: "cos4" uses -2a^2 cos(4 pi x) + 2b^2 cos(4 pi y), "cos2" uses
-    -cos(2 pi) in both axes, "cospi" uses -cos(pi) in both axes. All agree
-    as exact integrals."""
-    if a <= 0 or b <= 0:
-        raise ValueError("dimer parameters must be positive")
-    g = cfg.grid << cfg.refinements
-    theta = (np.arange(g) + 0.5) / g
-    x = theta[:, None]
-    y = theta[None, :]
-    if form == "cos4":
-        vals = (2 * a * a + 2 * b * b
-                - 2 * a * a * np.cos(4 * np.pi * x)
-                + 2 * b * b * np.cos(4 * np.pi * y))
-    elif form == "cos2":
-        vals = (2 * a * a + 2 * b * b
-                - 2 * a * a * np.cos(2 * np.pi * x)
-                - 2 * b * b * np.cos(2 * np.pi * y))
-    elif form == "cospi":
-        vals = (2 * a * a + 2 * b * b
-                - 2 * a * a * np.cos(np.pi * x)
-                - 2 * b * b * np.cos(np.pi * y))
-    else:
-        raise ValueError(f"unknown integrand form {form!r}")
-    return float(np.log(np.maximum(vals, cfg.eps)).mean()) / 2

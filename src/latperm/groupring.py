@@ -9,7 +9,6 @@ coincide up to the obvious sign conventions.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -230,9 +229,6 @@ class GroupRingElement:
     def norm1(self) -> float:
         return float(sum(abs(c) for c in self.terms.values()))
 
-    def norm_inf(self) -> float:
-        return float(max((abs(c) for c in self.terms.values()), default=0.0))
-
     def min_positive(self) -> float:
         """Smallest strictly positive coefficient (the normalizer kappa)."""
         pos = [c for c in self.terms.values() if c > 0]
@@ -271,10 +267,6 @@ class GroupRingElement:
                 c = int(c)
             terms[p] = terms.get(p, 0) + c
         return GroupRingElement(dim, terms)
-
-    @staticmethod
-    def from_json_str(s: str) -> "GroupRingElement":
-        return GroupRingElement.from_json(json.loads(s))
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,20 @@
 """Enumeration of restricted displacement patterns on finite windows.
 
 A pattern assigns to every site s of a window F a displacement x_s drawn from
-a finite set A, and the induced map s -> s + x_s must be injective. Admissible
-patterns additionally cover every interior point of F (points whose whole
-backward shadow lies in F), which is exactly what makes pattern counts
-submultiplicative across window unions. Enumeration is depth first in
-lexicographic site and displacement order, so output order is deterministic.
+a finite set A, and the induced map s -> s + x_s must be injective.
+Enumeration is depth first in lexicographic site and displacement order, so
+output order is deterministic. pattern_sign gives the sign of the
+permutation of F that a pattern induces through the order isomorphism.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .groupring import CapacityError, Point, Window, add, dilate, interior
+from .groupring import CapacityError, Point, Window, add
 
 DEFAULT_BUDGET = 10**8
-
-# A target set is just a finite window of candidate image points.
-TargetSet = Window
 
 
 @dataclass(frozen=True)
@@ -43,35 +37,10 @@ class Pattern:
         return w
 
 
-def _deadlines(sites: Sequence[Point], A: Window, required: frozenset[Point]) -> list[list[Point]]:
-    """For each site index, the required targets whose last possible claimant it is."""
-    last: dict[Point, int] = {}
-    for k, s in enumerate(sites):
-        for a in A:
-            t = add(s, a)
-            if t in required:
-                last[t] = k
-    missing = required - set(last)
-    if missing:
-        # some required point can never be hit; caller treats this as "no patterns"
-        return []
-    out: list[list[Point]] = [[] for _ in sites]
-    for t, k in last.items():
-        out[k].append(t)
-    return out
-
-
-def _enumerate(A: Window, F: Window, required: frozenset[Point] | None,
-               image_in: frozenset[Point] | None, budget: int) -> Iterator[Pattern]:
+def _enumerate(A: Window, F: Window, image_in: frozenset[Point] | None,
+               budget: int) -> Iterator[Pattern]:
     sites = F.points
     disp = A.points
-    if required:
-        deadlines = _deadlines(sites, A, required)
-        if not deadlines:
-            return
-    else:
-        deadlines = [[] for _ in sites]
-
     used: set[Point] = set()
     chosen: list[Point] = []
     nodes = 0
@@ -95,8 +64,7 @@ def _enumerate(A: Window, F: Window, required: frozenset[Point] | None,
                 )
             used.add(t)
             chosen.append(a)
-            if all(q in used for q in deadlines[k]):
-                yield from go(k + 1)
+            yield from go(k + 1)
             used.discard(t)
             chosen.pop()
 
@@ -105,13 +73,7 @@ def _enumerate(A: Window, F: Window, required: frozenset[Point] | None,
 
 def enumerate_injective(A: Window, F: Window, budget: int = DEFAULT_BUDGET) -> Iterator[Pattern]:
     """All patterns x: F -> A with s + x_s pairwise distinct."""
-    return _enumerate(A, F, None, None, budget)
-
-
-def enumerate_admissible(A: Window, F: Window, budget: int = DEFAULT_BUDGET) -> Iterator[Pattern]:
-    """Injective patterns whose image covers every interior point of F."""
-    req = interior(F, A).point_set
-    return _enumerate(A, F, frozenset(req), None, budget)
+    return _enumerate(A, F, None, budget)
 
 
 def enumerate_with_image(A: Window, F: Window, target: Window,
@@ -119,29 +81,7 @@ def enumerate_with_image(A: Window, F: Window, target: Window,
     """Injective patterns whose image is exactly the given target set."""
     if len(target) != len(F):
         raise ValueError("target must have the same cardinality as the window")
-    return _enumerate(A, F, None, target.point_set, budget)
-
-
-def target_sets(A: Window, F: Window, require_interior: bool = False,
-                cap: int = 5 * 10**6) -> list[Window]:
-    """All candidate image sets: subsets of FA of size |F|, in lex order.
-
-    With require_interior=True only subsets containing every interior point of
-    F survive, matching the admissible pattern space.
-    """
-    grown = dilate(F, A)
-    k = len(F)
-    total = math.comb(len(grown), k)
-    if total > cap:
-        raise CapacityError(
-            f"{total} candidate target sets exceed the cap {cap}", total, cap
-        )
-    req = interior(F, A).point_set if require_interior else frozenset()
-    out = []
-    for combo in itertools.combinations(grown.points, k):
-        if req <= frozenset(combo):
-            out.append(Window(combo))
-    return out
+    return _enumerate(A, F, target.point_set, budget)
 
 
 def pattern_sign(pattern: Pattern) -> int:

@@ -146,6 +146,25 @@ def signed_target_sum(f, F, target, budget=10**8):
     return total
 
 
+def target_signs(f, F, budget=10**8):
+    """The sign sgn(order isomorphism) * prod sign f(x_s) of each pattern of f
+    on F, one list per image set: every |F|-subset of FA that holds the
+    interior of F, in lexicographic order. An empty list is a vacuous image
+    set, and a list with one distinct value is an image set of constant sign."""
+    from latperm.groupring import Window, dilate, interior
+    from latperm.patterns import enumerate_with_image, pattern_sign
+
+    A = f.support()
+    required = interior(F, A).point_set
+    out = []
+    for combo in itertools.combinations(dilate(F, A).points, len(F)):
+        if required <= set(combo):
+            out.append([pattern_sign(p) * math.prod(1 if f.coef(x) > 0 else -1
+                                                    for x in p.displacements)
+                        for p in enumerate_with_image(A, F, Window(combo), budget=budget)])
+    return out
+
+
 def kasteleyn_torus(a, b, m, n):
     """Permanent of a(u1 + 1/u1) + b(u2 + 1/u2) on the m x n torus, m and n even.
 

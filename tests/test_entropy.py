@@ -28,7 +28,6 @@ from latperm.entropy import (
     transfer_matrix,
     transfer_pressure,
     upper_estimates,
-    zero_entropy,
 )
 from latperm.fkdet import family_instance, mahler_measure_roots
 from latperm.groupring import CapacityError, GroupRingElement, TorusQuotient, Window
@@ -456,11 +455,6 @@ class TestClosedFormBounds:
         assert abs(entropy_upper_bound(Window.of([(0,), (1,)])) - math.log(2) / 2) < 1e-15
         a3 = Window.of([(0,), (1,), (2,)])
         assert abs(entropy_upper_bound(a3) - math.log(6) / 3) < 1e-15
-
-    def test_zero_entropy_classifier(self):
-        assert zero_entropy(Window.of([(0,)]))
-        assert zero_entropy(Window.of([(0, 0), (3, 1)]))
-        assert not zero_entropy(Window.of([(0,), (1,), (2,)]))
 
     def test_bound_sandwich_small_cases(self):
         for pts in ([0, 1, 2], [0, 2, 5], [0, 1, 2, 3], [0, 1, 4, 6]):

@@ -101,12 +101,11 @@ class TestElementOps:
     def test_norms_and_min_positive(self):
         f = elem(1, {(0,): -2, (1,): 3, (2,): 1})
         assert f.norm1() == 6.0
-        assert f.norm_inf() == 3.0
         assert f.min_positive() == 1.0
 
     def test_json_round_trip(self):
         f = elem(2, {(0, 0): 1, (1, 0): -2.5})
-        again = GroupRingElement.from_json_str(json.dumps(f.to_json()))
+        again = GroupRingElement.from_json(json.loads(json.dumps(f.to_json())))
         assert again == f
 
     @given(elements())
