@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latperm.groupring import CapacityError, Window, dilate
+from latperm.groupring import CapacityError, Window, dilate, interior
 from latperm.patterns import (
     Pattern,
     enumerate_injective,
@@ -66,6 +66,17 @@ class TestEnumeration:
         got = disp_tuples(enumerate_injective(A, F))
         want = oracles.naive_patterns(A.points, F.points, mode="injective")
         assert got == want
+
+    @given(small_instance())
+    @settings(deadline=None, max_examples=40)
+    def test_admissible_within_injective(self, inst):
+        A, F = inst
+        inj = set(disp_tuples(enumerate_injective(A, F)))
+        req = interior(F, A).points
+        adm = set(oracles.naive_patterns(A.points, F.points, mode="admissible", required=req))
+        assert adm <= inj
+        if len(req) == 0:
+            assert adm == inj
 
     @given(small_instance(dim=1), st.tuples(st.integers(-3, 3)))
     @settings(deadline=None, max_examples=40)
