@@ -37,7 +37,9 @@ from .entropy import (
     WindowSchedule,
     _run_jobs,
     default_tori,
+    entropy_upper_bound,
     estimate_report,
+    pressure_lower_bound,
     torus_label,
     transfer_pressure,
 )
@@ -71,7 +73,7 @@ _VERIFY_SEED = 20240816
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One resolved CLI invocation; the defaults are the flags' defaults."""
+    """One resolved CLI invocation; the one place that holds the flags' defaults."""
 
     command: str
     input_path: str | None = None
@@ -79,8 +81,8 @@ class RunConfig:
     dim: int | None = None
     windows: tuple[int, ...] = ()
     tori: tuple[tuple[int, ...], ...] = ()
-    grid: int = 64
-    eps: float = 1e-10
+    grid: int = QuadratureConfig.grid
+    eps: float = QuadratureConfig.eps
     out_format: str = "json"
     threads: int = 1
     budget: int = DEFAULT_BUDGET
@@ -88,7 +90,7 @@ class RunConfig:
     params: str | None = None
 
     def __post_init__(self):
-        if self.command not in _DISPATCH:
+        if self.command not in _SUBCOMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.out_format not in ("json", "csv"):
             raise ValueError("format must be 'json' or 'csv'")
@@ -491,8 +493,8 @@ def _check_bound_sandwich(rng, budget):
         for A in itertools.combinations(range(5), r):
             fA = GroupRingElement.indicator(Window.of([(a,) for a in A]))
             p = transfer_pressure(fA)
-            lo = math.log(r) - 1.0
-            hi = math.lgamma(r + 1) / r
+            lo = pressure_lower_bound(fA)
+            hi = entropy_upper_bound(fA.support())
             if not (lo <= p + 1e-12 and p <= hi + 1e-12):
                 ok = False
             if r >= 3 and not lo < p - 1e-9:
@@ -585,19 +587,43 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 1 if failures else 0
 
 
-_DISPATCH = {
-    "entropy": cmd_entropy,
-    "pressure": cmd_pressure,
-    "permanent": cmd_permanent,
-    "mahler": cmd_mahler,
-    "compare": cmd_compare,
-    "periodic": cmd_periodic,
-    "verify": cmd_verify,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+# Each subcommand defines only the flags it reads, so an unread flag is an
+# "unrecognized arguments" error (exit 2). No flag has a default: an unset
+# flag stays out of the namespace and RunConfig supplies its value.
+_FLAGS = {
+    "--windows": dict(type=parse_windows, metavar="N0..N1",
+                      help="box side lengths, e.g. '2..10' or '4,8'"),
+    "--tori": dict(type=parse_tori, metavar="SIZES",
+                   help="torus moduli, e.g. '4x4,6x6' or '4..12'"),
+    "--params": dict(metavar="KV", help="comma-separated overrides, e.g. 'a=2,b=1,K=4'"),
+    "--grid": dict(type=int, help="quadrature grid points per dimension"),
+    "--eps": dict(type=float, help="quadrature floor for log singularities"),
+    "--format": dict(dest="out_format", choices=("json", "csv")),
+    "--threads": dict(type=int, help="quadrature threads for mahler and compare"),
+    "--budget": dict(type=int, help="node budget before a capacity error"),
+}
+_ESTIMATE = "--windows --tori --format --threads --budget"
+
+# name: (run, help, what --input and --inline hold or None, the _FLAGS it reads)
+_SUBCOMMANDS = {
+    "entropy": (cmd_entropy, "growth-rate report for a displacement set",
+                "displacement set as a window or element", _ESTIMATE),
+    "pressure": (cmd_pressure, "growth-rate report for a weight element",
+                 "nonnegative weight element", _ESTIMATE),
+    "permanent": (cmd_permanent, "pattern sums on a single box window", "weight element",
+                  "--windows --format --threads --budget"),
+    "mahler": (cmd_mahler, "logarithmic Mahler measure", "Laurent element",
+               "--grid --eps --format --threads"),
+    "compare": (cmd_compare, "permanent bracket vs determinant value", None,
+                "--params --grid --eps --format --threads --budget"),
+    "periodic": (cmd_periodic, "pattern counts on torus quotients",
+                 "displacement set or weight element", "--tori --format --threads --budget"),
+    "verify": (cmd_verify, "seeded invariant suite", None, "--threads --budget"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -608,49 +634,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "measures, and cross-checks between them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, element_help):
-        sp.add_argument("--input", dest="input_path", metavar="PATH",
-                        help=element_help + " (JSON file)")
-        sp.add_argument("--inline", metavar="JSON",
-                        help=element_help + " (inline JSON)")
-        sp.add_argument("--dim", type=int, default=None,
-                        help="expected dimension, checked against the input")
-        sp.add_argument("--windows", type=parse_windows, default=(),
-                        metavar="N0..N1",
-                        help="box side lengths, e.g. '2..10' or '4,8'")
-        sp.add_argument("--tori", type=parse_tori, default=(),
-                        metavar="SIZES",
-                        help="torus moduli, e.g. '4x4,6x6' or '4..12'")
-        sp.add_argument("--grid", type=int, default=64,
-                        help="quadrature grid points per dimension")
-        sp.add_argument("--eps", type=float, default=1e-10,
-                        help="quadrature floor for log singularities")
-        sp.add_argument("--format", dest="out_format",
-                        choices=("json", "csv"), default="json")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="quadrature threads for mahler and compare")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="node budget before a capacity error")
-
-    sp = sub.add_parser("entropy", help="growth-rate report for a displacement set")
-    add_common(sp, "displacement set as a window or element")
-    sp = sub.add_parser("pressure", help="growth-rate report for a weight element")
-    add_common(sp, "nonnegative weight element")
-    sp = sub.add_parser("permanent", help="pattern sums on a single box window")
-    add_common(sp, "weight element")
-    sp = sub.add_parser("mahler", help="logarithmic Mahler measure")
-    add_common(sp, "Laurent element")
-    sp = sub.add_parser("compare", help="permanent bracket vs determinant value")
-    sp.add_argument("family", help="one of: " + ", ".join(sorted(FAMILY_DEFAULTS)))
-    sp.add_argument("--params", default=None, metavar="KV",
-                    help="comma-separated overrides, e.g. 'a=2,b=1,K=4'")
-    add_common(sp, "unused for compare")
-    sp = sub.add_parser("periodic", help="pattern counts on torus quotients")
-    add_common(sp, "displacement set or weight element")
-    sp = sub.add_parser("verify", help="seeded invariant suite")
-    add_common(sp, "unused for verify")
-
+    for name, (_, help_text, element, flags) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        if element:
+            sp.add_argument("--input", dest="input_path", metavar="PATH",
+                            help=element + " (JSON file)")
+            sp.add_argument("--inline", metavar="JSON", help=element + " (inline JSON)")
+            sp.add_argument("--dim", type=int, help="expected dimension, checked against the input")
+        if name == "compare":
+            sp.add_argument("family", help="one of: " + ", ".join(sorted(FAMILY_DEFAULTS)))
+        for flag in flags.split():
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -658,9 +652,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # every subcommand defines the common flags; only compare has family and params
         cfg = RunConfig(**vars(args))
-        text, code = _DISPATCH[cfg.command](cfg)
+        text, code = _SUBCOMMANDS[cfg.command][0](cfg)
     except CapacityError as e:
         print(f"capacity budget exceeded: {e}", file=sys.stderr)
         return 3

@@ -392,10 +392,14 @@ def transfer_pressure(f: GroupRingElement | TransferMatrix) -> float:
 
 
 def pressure_lower_bound(f: GroupRingElement) -> float:
-    """log(||f||_1 / e), the van der Waerden floor for the pressure."""
+    """log(||f||_1 / e), the van der Waerden floor for the pressure; a float
+    norm past the float range is split as log max|c| + log(||f||_1 / max|c|)."""
     n1 = f.norm1()
     if n1 == 0:
         return float("-inf")
+    if n1 == math.inf:
+        top = max(abs(c) for c in f.terms.values())
+        return math.log(top) + math.log(sum(abs(c) / top for c in f.terms.values())) - 1.0
     return math.log(n1) - 1.0
 
 

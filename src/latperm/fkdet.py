@@ -113,9 +113,18 @@ def mahler_measure(
     sweep to the last refinement difference, and Richardson-style
     extrapolation is applied when the differences shrink geometrically.
     Every grid level is checked against the cell cap before any runs.
+    Past sum |c| = 2^1000, where the terms could sum to inf, they are divided
+    by 2^k, 2^(k-1) <= max |c| < 2^k, and k log 2 goes back onto each level;
+    other elements keep their bits, as an ulp in a level moves the error
+    estimate by up to 2.5e-10 relative.
     """
     if f.is_zero():
         raise ValueError("mahler measure of the zero element is undefined")
+    k = 0
+    if f.norm1() >= 2 ** 1000:  # int() is exact: a float past 2^53 is an integer
+        k = int(max(abs(c) for c in f.terms.values())).bit_length()
+        f = GroupRingElement(f.dim, {p: c / (1 << k) if isinstance(c, int)
+                                     else math.ldexp(c, -k) for p, c in f.terms.items()})
     grids = [cfg.grid << i for i in range(cfg.refinements + 1)]
     for g in grids:
         if g ** f.dim > _GRID_CELL_CAP:
@@ -127,7 +136,7 @@ def mahler_measure(
         # log is monotone, so each eps floor is a floor on one pass of logs
         logs = np.log(np.maximum(_torus_abs(f, g, threads=threads), eps_levels[0]))
         for eps in eps_levels:
-            values[eps].append(float(np.maximum(logs, np.log(eps)).mean()))
+            values[eps].append(float(np.maximum(logs, np.log(eps)).mean()) + k * math.log(2))
     main = values[cfg.eps]
     diffs = [b - a for a, b in zip(main, main[1:])]
     converged = len(diffs) < 2 or abs(diffs[-1]) <= abs(diffs[-2]) + 1e-15
@@ -334,8 +343,6 @@ def evaluate_family(
     family: str,
     params: dict,
     cfg: QuadratureConfig = QuadratureConfig(),
-    schedule: WindowSchedule | None = None,
-    tori=None,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> FamilyReport:
@@ -343,7 +350,8 @@ def evaluate_family(
 
     The determinant side is the max over the signed representatives'
     quadrature Mahler measures. The permanent side is exact via the transfer
-    matrix in dimension one and a window/torus bracket in dimension two."""
+    matrix in dimension one and a window/torus bracket in dimension two, on
+    the boxes 2, 4 and 6 and the separated square tori up to 4."""
     inst = family_instance(family, params)
     det_results = tuple(mahler_measure(g, cfg, threads=threads)
                         for g in inst.det_elements)
@@ -353,19 +361,16 @@ def evaluate_family(
         p = transfer_pressure(inst.permanent_element)
         return FamilyReport(inst, p, p, "transfer-exact", det_results,
                             det_value, det_error)
-    if schedule is None:
-        schedule = WindowSchedule.boxes(2, [2, 4, 6])
-    if tori is None:
-        tori = default_tori(inst.permanent_element, max_side=4)
-    upper_rows, skipped = upper_estimates(inst.permanent_element, schedule,
+    f = inst.permanent_element
+    upper_rows, skipped = upper_estimates(f, WindowSchedule.boxes(2, [2, 4, 6]),
                                           modes=("admissible",), budget=budget)
     if not upper_rows:
         raise CapacityError(
             "no window fits the budget: " + "; ".join(skipped), budget=budget)
-    torus_rows, torus_skipped = torus_estimates(inst.permanent_element, tori,
+    torus_rows, torus_skipped = torus_estimates(f, default_tori(f, max_side=4),
                                                 budget=budget)
     per_high = min(r.normalized for r in upper_rows)
-    per_low = pressure_lower_bound(inst.permanent_element)
+    per_low = pressure_lower_bound(f)
     torus_max = max((r.normalized for r in torus_rows), default=None)
     return FamilyReport(inst, per_low, per_high, "certified-bracket",
                         det_results, det_value, det_error, torus_max,

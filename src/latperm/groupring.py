@@ -226,8 +226,9 @@ class GroupRingElement:
             out[p] = out.get(p, 0) + c
         return GroupRingElement(self.dim, out)
 
-    def norm1(self) -> float:
-        return float(sum(abs(c) for c in self.terms.values()))
+    def norm1(self) -> float | int:
+        """sum |c|, exact (an int) for integer coefficients."""
+        return sum(abs(c) for c in self.terms.values())
 
     def min_positive(self) -> float:
         """Smallest strictly positive coefficient (the normalizer kappa)."""

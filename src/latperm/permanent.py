@@ -3,7 +3,8 @@
 The central quantity is the weighted count of injective (optionally
 interior-covering) patterns on a window, which is the permanent of a
 rectangular site-by-target matrix. Three backends read the same rows;
-``sweep`` is the default, ``dfs`` and ``ryser`` are cross-checks:
+``sweep`` is the default and the only one for tori, ``dfs`` and ``ryser``
+are cross-checks:
 
 * ``sweep`` - the sites split into the connected components of the
   site-target graph, and the permanent is the product over the components
@@ -478,7 +479,6 @@ def _inclusion_exclusion_permanent(rows, ncols: int, required: list[int], exact:
 def torus_permanent(
     f: GroupRingElement,
     quotient: TorusQuotient,
-    backend: str = "sweep",
     exact: bool | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> LogValue:
@@ -492,20 +492,16 @@ def torus_permanent(
     sorted by decreasing modulus, ties in the given order, which is a group
     isomorphism: the sweep runs along the longest axis.
 
-    The ``sweep`` backend (the default) takes the component of the origin
-    in the site-target graph, the coset H of <A - A>, and raises its value
-    to the power [G:H]: the cosets are translates with the same weights.
+    The sweep takes the component of the origin in the site-target graph,
+    the coset H of <A - A>, and raises its value to the power [G:H]: the
+    cosets are translates with the same weights.
     Let H span m slabs (values of coordinate 0), a = ceil(m/2), b = m - a.
     The sweep stops before slab a with F_a[K], K the claimed targets among
     those L that slabs [0, a) and [a, m) share, and keeps F_b from before
     slab b. Translation by a site v of slab a maps slabs [0, b) onto [a, m)
     weight for weight and F_b's live targets onto L, so per(H) = sum over K
     of F_a[K] F_b[v^-1 (L - K)]. Only swept rows count against the budget.
-    The ``dfs`` backend backtracks over the whole quotient, as a
-    cross-check; any other backend raises ValueError.
     """
-    if backend not in ("sweep", "dfs"):
-        raise ValueError(f"unknown backend {backend!r}")
     A = f.support()
     if quotient.dim != f.dim:
         raise ValueError("quotient dimension does not match element")
@@ -522,9 +518,6 @@ def torus_permanent(
     sites = quotient.points()
     index = {p: j for j, p in enumerate(sites)}
     rows = _rows(sites, weights, index, quotient.reduce)
-    if backend == "dfs":
-        raw = _dfs_permanent(rows, (1 << len(sites)) - 1, use_exact, budget)
-        return _scaled_logvalue(raw, 0, normalize, quotient.size)
     # Sites s, s' share a target iff s - s' is in A - A, so the components
     # are the cosets x + H, the first one H itself. Site s claims s + a with
     # weight w_a, so s -> s + x maps H's rows onto x + H's, weight for weight.

@@ -1,20 +1,29 @@
 """CLI tests: parsing, subcommand output shapes, exit codes, determinism."""
 
+import argparse
+import importlib.util
+import inspect
 import json
+import math
+import re
 import sys
+from pathlib import Path
 
 import oracles
 import pytest
 
 import latperm.entropy as entropy
-from latperm.cli import RunConfig, main, parse_tori, parse_windows
+from latperm.cli import RunConfig, build_parser, main, parse_tori, parse_windows
+from latperm.fkdet import QuadratureConfig
 from latperm.groupring import GroupRingElement, Window
+from latperm.patterns import DEFAULT_BUDGET
 from latperm.permanent import window_permanent
 
 GOLDEN = '{"dim":1,"terms":[{"exp":[0],"coef":1},{"exp":[1],"coef":1},{"exp":[2],"coef":1}]}'
 GOLDEN_SIGNED = '{"dim":1,"terms":[{"exp":[2],"coef":1},{"exp":[1],"coef":1},{"exp":[0],"coef":-1}]}'
 TWO_POINT = '{"points": [[0], [1]]}'
 L_SHAPE = '{"points": [[0,0], [1,0], [0,1]]}'
+CATALAN = 0.915965594177219015
 
 
 def run(capsys, argv):
@@ -71,6 +80,88 @@ class TestParsing:
         with pytest.raises(SystemExit) as e:
             main([])
         assert e.value.code == 2
+
+
+# each shared flag: a value, the RunConfig field it sets and the parsed value
+SHARED_FLAGS = {
+    "--input": ("a.json", "input_path", "a.json"),
+    "--inline": ("{}", "inline", "{}"),
+    "--dim": ("2", "dim", 2),
+    "--windows": ("2..3", "windows", (2, 3)),
+    "--tori": ("4x4", "tori", ((4, 4),)),
+    "--grid": ("16", "grid", 16),
+    "--eps": ("1e-9", "eps", 1e-9),
+    "--format": ("csv", "out_format", "csv"),
+    "--threads": ("2", "threads", 2),
+    "--budget": ("100", "budget", 100),
+}
+ELEMENT = {"--input", "--inline", "--dim"}
+# the shared flags each subcommand reads; compare also takes family and --params
+READS = {
+    "entropy": ELEMENT | {"--windows", "--tori", "--format", "--budget", "--threads"},
+    "pressure": ELEMENT | {"--windows", "--tori", "--format", "--budget", "--threads"},
+    "permanent": ELEMENT | {"--windows", "--format", "--budget", "--threads"},
+    "mahler": ELEMENT | {"--grid", "--eps", "--format", "--threads"},
+    "compare": {"--grid", "--eps", "--format", "--budget", "--threads"},
+    "periodic": ELEMENT | {"--tori", "--format", "--budget", "--threads"},
+    "verify": {"--budget", "--threads"},
+}
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", list(READS))
+    @pytest.mark.parametrize("flag", list(SHARED_FLAGS))
+    def test_read_flags_parse_and_unread_flags_exit_2(self, capsys, command, flag):
+        text, field, value = SHARED_FLAGS[flag]
+        head = [command] + (["dimer"] if command == "compare" else [])
+        if flag in READS[command]:
+            cfg = RunConfig(**vars(build_parser().parse_args(head + [flag, text])))
+            assert getattr(cfg, field) == value
+        else:
+            with pytest.raises(SystemExit) as e:
+                build_parser().parse_args(head + [flag, text])
+            assert e.value.code == 2
+            assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+    def test_compare_takes_family_and_params(self):
+        args = build_parser().parse_args(["compare", "dimer", "--params", "a=2"])
+        cfg = RunConfig(**vars(args))
+        assert (cfg.family, cfg.params) == ("dimer", "a=2")
+
+    def test_parser_sets_no_default(self):
+        assert not re.search(r"\bdefault=", inspect.getsource(build_parser))
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(READS)
+        for sp in sub.choices.values():
+            assert all(a.default is argparse.SUPPRESS for a in sp._actions)
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_runconfig_holds_every_default(self, command):
+        # an unset flag stays out of the namespace
+        head = [command] + (["dimer"] if command == "compare" else [])
+        args = vars(build_parser().parse_args(head))
+        assert set(args) == {"command"} | ({"family"} if command == "compare" else set())
+        cfg = RunConfig(**args)
+        assert (cfg.grid, cfg.eps) == (QuadratureConfig().grid, QuadratureConfig().eps)
+        assert (cfg.threads, cfg.budget, cfg.out_format) == (1, DEFAULT_BUDGET, "json")
+        assert (cfg.windows, cfg.tori, cfg.dim, cfg.params) == ((), (), None, None)
+
+
+def test_benchmark_argv_parses():
+    """Every CLI job of every benchmark workload, seed 1, parses into a valid
+    RunConfig; no job runs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    argvs = [job.argv for name in workloads.WORKLOADS
+             for job in workloads.build(name, workloads.draw(name, 1)) if job.argv]
+    assert argvs
+    for argv in argvs:
+        cfg = RunConfig(**vars(build_parser().parse_args(list(argv))))
+        assert cfg.command == argv[0]
 
 
 class TestEntropy:
@@ -180,6 +271,16 @@ class TestPressure:
         assert payload["lower_estimate"] == pytest.approx(payload["transfer_value"],
                                                           abs=1e-9)
 
+    def test_norm_past_the_float_range(self, capsys):
+        # 1e308 parses to an int, so the norm 2e308 is an exact int
+        big = '{"dim":1,"terms":[{"exp":[0],"coef":1e308},{"exp":[1],"coef":1e308}]}'
+        code, out, err = run(capsys, ["pressure", "--inline", big, "--windows", "2..3"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["closed_form_lower"] == pytest.approx(
+            math.log(1e308) + math.log(2) - 1, rel=1e-12)
+        assert payload["closed_form_lower"] <= payload["transfer_value"]
+
     def test_signed_element_rejected(self, capsys):
         code, _, err = run(capsys, ["pressure", "--inline", GOLDEN_SIGNED,
                                     "--windows", "4..6"])
@@ -261,6 +362,15 @@ class TestMahler:
         assert payload["roots_value"] is None
         assert abs(payload["value"] - 0.323065947908) <= 1e-6
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sum_past_the_float_range(self, capsys):
+        big = '{"dim":1,"terms":[{"exp":[0],"coef":1e308},{"exp":[1],"coef":1e308}]}'
+        code, out, err = run(capsys, ["mahler", "--inline", big, "--format", "csv"])
+        assert (code, err) == (0, "")
+        value, error, _, roots = map(float, out.splitlines()[1].split(","))
+        assert roots == pytest.approx(math.log(1e308), rel=1e-12)
+        assert abs(value - roots) <= error < 1e-2
+
     def test_bad_grid_exit_2(self, capsys):
         code, _, err = run(capsys, ["mahler", "--inline", GOLDEN_SIGNED,
                                     "--grid", "4"])
@@ -324,6 +434,18 @@ class TestCompare:
         assert out == ""
         assert err.startswith("capacity budget exceeded: no window fits")
         assert "2x2[admissible]" in err and "6x6[admissible]" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_dimer_past_the_float_range(self, capsys):
+        # the four weights sum to inf as floats: the floor splits off
+        # max |c| and the quadrature divides the terms by 2^1024
+        code, out, err = run(capsys, ["compare", "dimer", "--params", "a=1e308,b=1e308"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        low, det, high = (payload[k] for k in ("per_estimate_low", "det_value",
+                                               "per_estimate_high"))
+        assert low <= det <= high
+        assert det == pytest.approx(math.log(1e308) + 2 * CATALAN / math.pi, abs=1e-6)
 
     def test_partly_skipped_windows_exit_3(self, capsys):
         # 2x2 takes 32 nodes, 4x4 664 and 6x6 6612

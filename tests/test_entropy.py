@@ -450,6 +450,16 @@ class TestClosedFormBounds:
         unit = GroupRingElement(1, {(0,): 1.0})
         assert abs(pressure_lower_bound(unit) + 1.0) < 1e-15
 
+    def test_lower_formula_past_the_float_range(self):
+        # an int norm of 2e308 is exact; a float one is inf, split off max |c|
+        ints = GroupRingElement(1, {(0,): int(1e308), (1,): int(1e308)})
+        floats = GroupRingElement(2, {(1, 0): 1e308, (-1, 0): 1e308,
+                                      (0, 1): 1e308, (0, -1): 1e308})
+        assert pressure_lower_bound(ints) == pytest.approx(
+            math.log(1e308) + math.log(2) - 1, rel=1e-15)
+        assert pressure_lower_bound(floats) == pytest.approx(
+            math.log(1e308) + math.log(4) - 1, rel=1e-15)
+
     def test_upper_formula_values(self):
         assert entropy_upper_bound(Window.of([(0,)])) == 0.0
         assert abs(entropy_upper_bound(Window.of([(0,), (1,)])) - math.log(2) / 2) < 1e-15

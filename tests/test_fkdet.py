@@ -183,6 +183,16 @@ class TestMahlerMeasure:
         r = mahler_measure(poly({0: -1, 1: 1, 2: 1}), CFG)
         assert [g for g, _ in r.levels] == [64, 128, 256]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", [float, int])
+    def test_coefficients_past_the_float_range(self, kind):
+        # sum |c| = 2e308 overflows a float: the terms are divided by 2^1024
+        # and 1024 log 2 goes back onto every level; no root on the circle
+        f = poly({0: kind(1.5e308), 1: kind(5e307)})
+        r = mahler_measure(f, CFG)
+        assert abs(r.value - mahler_measure_roots(f)) <= 1e-9
+        assert all(abs(v - r.value) <= 1e-9 for _, v in r.levels)
+
 
 class TestMahlerRoots:
     def test_unit_and_monomial(self):

@@ -103,6 +103,11 @@ class TestElementOps:
         assert f.norm1() == 6.0
         assert f.min_positive() == 1.0
 
+    def test_norm1_is_exact_for_integers(self):
+        big = 10 ** 400
+        assert elem(1, {(0,): big, (1,): -big}).norm1() == 2 * big
+        assert type(elem(1, {(0,): 2, (1,): 3}).norm1()) is int
+
     def test_json_round_trip(self):
         f = elem(2, {(0, 0): 1, (1, 0): -2.5})
         again = GroupRingElement.from_json(json.loads(json.dumps(f.to_json())))
