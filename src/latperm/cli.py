@@ -17,8 +17,8 @@ padding division).
 
 All output is formatted here: _dump writes every JSON payload and _csv
 every CSV, and both print floats with 12 significant digits and a '.'
-decimal separator. Rerunning the same configuration with the same thread
-count reproduces the output byte for byte.
+decimal separator. Rerunning the same configuration with any thread count
+reproduces the output byte for byte.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,9 @@ from .entropy import (
 )
 
 _EPS_SWEEP = (1e-8, 1e-10, 1e-12)
+# a level holds 8 bytes per cell, so the cap implies about 128 MB plus the blocks
 _GRID_CELL_CAP = 1 << 24
+_BLOCK_CELLS = 1 << 16  # cells per block of rows in _torus_abs, 1 MB of complex
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,8 @@ class MahlerResult:
     eps_spread: float
 
 
-def _torus_abs(f: GroupRingElement, grid: int, threads: int = 1) -> np.ndarray:
+def _torus_abs(f: GroupRingElement, grid: int, threads: int = 1,
+               pool: ThreadPoolExecutor | None = None) -> np.ndarray:
     """|f| evaluated on the shifted midpoint grid ((k+1/2)/grid per axis).
 
     Each term is c exp(2 pi i phase), with the phase summed over only the
@@ -71,17 +75,22 @@ def _torus_abs(f: GroupRingElement, grid: int, threads: int = 1) -> np.ndarray:
     zero exponent's phase is exact, so every cell is bit-identical to exp of
     the phase summed over all axes. A product of per-axis characters would
     differ in the last bit, which moves a level by an ulp and the error
-    estimate, a difference of levels, by up to 2.5e-10 relative."""
+    estimate, a difference of levels, by up to 2.5e-10 relative. The result
+    is filled in blocks of whole rows of about _BLOCK_CELLS cells, at least
+    one per worker, on `pool` or else a pool made here; no complex array
+    spans the grid, and no cell depends on the split."""
     d = f.dim
-    theta = (np.arange(grid) + 0.5) / grid
+    # the first axis is made per block, so in 1-D only the result spans the grid
+    theta = (np.arange(grid) + 0.5) / grid if d > 1 else None
     terms = sorted(f.terms.items())
+    out = np.empty((grid,) * d)
 
     def along(axis: int, x: np.ndarray) -> np.ndarray:
         return x.reshape((1,) * axis + (-1,) + (1,) * (d - 1 - axis))
 
-    def chunk_abs(rows: np.ndarray) -> np.ndarray:
-        axes = [rows] + [theta] * (d - 1)
-        vals = np.zeros((len(rows),) + (grid,) * (d - 1), dtype=complex)
+    def fill(rows: slice) -> None:
+        axes = [(np.arange(rows.start, rows.stop) + 0.5) / grid] + [theta] * (d - 1)
+        vals = np.zeros(out[rows].shape, dtype=complex)
         for p, c in terms:
             # in place, to hold one term at a time; 0-d for the constant term
             z = np.asarray(2j * np.pi * sum(along(a, p[a] * axes[a])
@@ -89,16 +98,21 @@ def _torus_abs(f: GroupRingElement, grid: int, threads: int = 1) -> np.ndarray:
             np.exp(z, out=z)
             z *= c
             vals += z
-        return np.abs(vals)
+        np.abs(vals, out=out[rows])
 
-    # no more workers than cores: a huge --threads must not start a thread per row
-    workers = min(threads, os.cpu_count() or 1)
-    if workers > 1 and grid >= 2 * workers:
-        chunks = np.array_split(theta, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_abs, chunks))
-        return np.concatenate(parts, axis=0)
-    return chunk_abs(theta)
+    # no more workers than cores: a huge --threads must not start a thread per
+    # row (os.cpu_count reads a file, so one thread skips it)
+    workers = min(threads, os.cpu_count() or 1) if threads > 1 else 1
+    parallel = workers > 1 and grid >= 2 * workers
+    n = max(min(grid, -(-grid ** d // _BLOCK_CELLS)), workers if parallel else 1)
+    blocks = [slice(grid * i // n, grid * (i + 1) // n) for i in range(n)]
+    if parallel:
+        with nullcontext(pool) if pool else ThreadPoolExecutor(max_workers=workers) as p:
+            list(p.map(fill, blocks))
+    else:
+        for rows in blocks:
+            fill(rows)
+    return out
 
 
 def mahler_measure(
@@ -132,11 +146,19 @@ def mahler_measure(
                                 g ** f.dim, _GRID_CELL_CAP)
     eps_levels = sorted(set(_EPS_SWEEP) | {cfg.eps})
     values = {eps: [] for eps in eps_levels}
-    for g in grids:
-        # log is monotone, so each eps floor is a floor on one pass of logs
-        logs = np.log(np.maximum(_torus_abs(f, g, threads=threads), eps_levels[0]))
-        for eps in eps_levels:
-            values[eps].append(float(np.maximum(logs, np.log(eps)).mean()) + k * math.log(2))
+    # one pool for every level; it starts no thread unless _torus_abs uses it
+    with (ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
+          if threads > 1 else nullcontext()) as pool:
+        for g in grids:
+            # log is monotone, so each eps floor is a floor on one pass of logs,
+            # and in place, as max(max(x, a), b) = max(x, b) for ascending eps
+            logs = _torus_abs(f, g, threads, pool)
+            np.maximum(logs, eps_levels[0], out=logs)
+            np.log(logs, out=logs)
+            for eps in eps_levels:
+                np.maximum(logs, np.log(eps), out=logs)
+                values[eps].append(float(logs.mean()) + k * math.log(2))
+            del logs  # before the next level is filled
     main = values[cfg.eps]
     diffs = [b - a for a, b in zip(main, main[1:])]
     converged = len(diffs) < 2 or abs(diffs[-1]) <= abs(diffs[-2]) + 1e-15
@@ -154,14 +176,23 @@ def mahler_measure(
 
 def mahler_measure_roots(f: GroupRingElement) -> float:
     """Exact one-dimensional Mahler measure: log of the leading coefficient
-    magnitude plus log-magnitudes of the roots outside the unit circle."""
+    magnitude plus log-magnitudes of the roots outside the unit circle.
+
+    np.roots divides by the leading coefficient; where that overflows, the
+    reciprocal polynomial u^n f(1/u), which has the same measure, is used.
+    ArithmeticError when both orientations overflow."""
     if f.dim != 1:
         raise ValueError("root-based mahler measure needs dimension one")
     if f.is_zero():
         raise ValueError("mahler measure of the zero element is undefined")
     lo = min(p[0] for p in f.terms)
     hi = max(p[0] for p in f.terms)
-    coeffs = [f.coef((k,)) for k in range(hi, lo - 1, -1)]
+    forward = [f.coef((k,)) for k in range(hi, lo - 1, -1)]
+    for coeffs in (forward, forward[::-1]):
+        if all(math.isfinite(c / coeffs[0]) for c in coeffs[1:]):
+            break
+    else:
+        raise ArithmeticError("root finding overflows in both orientations")
     value = math.log(abs(coeffs[0]))
     if len(coeffs) > 1:
         for r in _merge_multiple_roots(coeffs, np.roots(coeffs)):

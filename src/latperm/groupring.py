@@ -227,8 +227,13 @@ class GroupRingElement:
         return GroupRingElement(self.dim, out)
 
     def norm1(self) -> float | int:
-        """sum |c|, exact (an int) for integer coefficients."""
-        return sum(abs(c) for c in self.terms.values())
+        """sum |c|, exact (an int) for integer coefficients; inf when an
+        int partial sum past the float range meets a float, as the sum is
+        past that range too."""
+        try:
+            return sum(abs(c) for c in self.terms.values())
+        except OverflowError:
+            return math.inf
 
     def min_positive(self) -> float:
         """Smallest strictly positive coefficient (the normalizer kappa)."""

@@ -320,3 +320,34 @@ def direct_torus_abs(terms, dim, grid):
 def direct_log_mean(terms, dim, grid, eps):
     """Mean over the midpoint grid of log max(|f|, eps)."""
     return float(np.log(np.maximum(direct_torus_abs(terms, dim, grid), eps)).mean())
+
+
+def direct_mahler(terms, dim, grid, refinements, eps):
+    """Every MahlerResult field, in order, from whole-grid |f| arrays: levels
+    at grid * 2^i for i <= refinements, each eps floor taken on its own copy
+    of the logs, the differences, extrapolation and eps spread as documented
+    on mahler_measure. Past sum |c| = 2^1000 the terms are divided by 2^k,
+    2^(k-1) <= max |c| < 2^k, and k log 2 is added back."""
+    k = 0
+    if sum(abs(c) for c in terms.values()) >= 2 ** 1000:
+        k = int(max(abs(c) for c in terms.values())).bit_length()
+        terms = {p: c / (1 << k) if isinstance(c, int) else math.ldexp(c, -k)
+                 for p, c in terms.items()}
+    grids = [grid << i for i in range(refinements + 1)]
+    sweep = (1e-8, 1e-10, 1e-12)
+    values = {e: [] for e in sorted(set(sweep) | {eps})}
+    for g in grids:
+        logs = np.log(np.maximum(direct_torus_abs(terms, dim, g), min(values)))
+        for e in values:
+            values[e].append(float(np.maximum(logs, np.log(e)).mean()) + k * math.log(2))
+    main = values[eps]
+    diffs = [b - a for a, b in zip(main, main[1:])]
+    converged = len(diffs) < 2 or abs(diffs[-1]) <= abs(diffs[-2]) + 1e-15
+    value = main[-1]
+    if len(diffs) >= 2 and diffs[-2] != 0:
+        ratio = diffs[-1] / diffs[-2]
+        if 0 < abs(ratio) < 1:
+            value = main[-1] + diffs[-1] * ratio / (1 - ratio)
+    finals = [values[e][-1] for e in sweep]
+    spread = max(finals) - min(finals)
+    return value, abs(diffs[-1]) + spread, converged, tuple(zip(grids, main)), spread

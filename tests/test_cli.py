@@ -371,6 +371,34 @@ class TestMahler:
         assert roots == pytest.approx(math.log(1e308), rel=1e-12)
         assert abs(value - roots) <= error < 1e-2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_coefficient_ratio_past_the_float_range(self, capsys):
+        wide = '{"dim":1,"terms":[{"exp":[0],"coef":1e300},{"exp":[2],"coef":1e-300}]}'
+        code, out, err = run(capsys, ["mahler", "--inline", wide])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["roots_value"] == pytest.approx(math.log(1e300), rel=1e-12)
+        assert payload["value"] == pytest.approx(math.log(1e300), rel=1e-12)
+        both = ('{"dim":1,"terms":[{"exp":[0],"coef":1e-300},{"exp":[1],"coef":1e300},'
+                '{"exp":[2],"coef":1e-300}]}')
+        code, _, err = run(capsys, ["mahler", "--inline", both])
+        assert code == 4
+        assert "numerical" in err
+
+    @pytest.mark.parametrize("command", ["mahler", "pressure"])
+    def test_int_norm_past_the_float_range_meets_a_float(self, capsys, command):
+        # 1e308 parses to an int; adding 0.5 to the int 2e308 overflows
+        mixed = ('{"dim":1,"terms":[{"exp":[0],"coef":1e308},{"exp":[1],"coef":1e308},'
+                 '{"exp":[2],"coef":0.5}]}')
+        windows = ["--windows", "2..3"] if command == "pressure" else []
+        code, out, err = run(capsys, [command, "--inline", mixed] + windows)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        if command == "mahler":
+            assert abs(payload["value"] - payload["roots_value"]) <= 1e-9
+        else:
+            assert payload["closed_form_lower"] <= payload["transfer_value"]
+
     def test_bad_grid_exit_2(self, capsys):
         code, _, err = run(capsys, ["mahler", "--inline", GOLDEN_SIGNED,
                                     "--grid", "4"])

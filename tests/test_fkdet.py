@@ -3,6 +3,7 @@ finite inequality det <= iper^2, example families, and the constant-sign
 facts of signed pattern terms."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -193,6 +194,41 @@ class TestMahlerMeasure:
         assert abs(r.value - mahler_measure_roots(f)) <= 1e-9
         assert all(abs(v - r.value) <= 1e-9 for _, v in r.levels)
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("terms,grid,eps", [
+        # 1200^2 and 96^3 cells split into blocks of unequal row counts
+        ({(0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): -2}, 300, 1e-9),
+        ({(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}, 24, 1e-8),
+        # zeros on the midpoints, so every eps floors some cells
+        ({(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1}, 64, 1e-10),
+        # sum |c| past 2^1000: the terms are scaled by 2^-1024
+        ({(0, 0): 1.5e308, (1, 0): 5e307, (1, 1): -1e307}, 40, 1e-12),
+        ({(0,): 1, (1,): 1, (2,): -1}, 8, 1e-10),
+    ])
+    def test_streamed_levels_bit_identical_to_whole_grid(self, monkeypatch, terms,
+                                                         grid, eps, threads):
+        # more cores than threads, so threads=3 runs three workers anywhere
+        monkeypatch.setattr(fkdet.os, "cpu_count", lambda: 8)
+        f = GroupRingElement(len(next(iter(terms))), terms)
+        cfg = QuadratureConfig(grid=grid, eps=eps)
+        r = mahler_measure(f, cfg, threads=threads)
+        want = oracles.direct_mahler(terms, f.dim, grid, cfg.refinements, eps)
+        assert (r.value, r.error_estimate, r.converged, r.levels, r.eps_spread) == want
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_memory_is_one_float_per_cell(self, monkeypatch, threads):
+        # the finest level, 1024^2, takes 8 bytes a cell; the blocks in flight
+        # and everything else fit in a fixed 8 MB
+        monkeypatch.setattr(fkdet.os, "cpu_count", lambda: 2)
+        f = GroupRingElement(2, {(0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): -2})
+        tracemalloc.start()
+        try:
+            mahler_measure(f, QuadratureConfig(grid=256), threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 1024 ** 2 + (8 << 20)
+
 
 class TestMahlerRoots:
     def test_unit_and_monomial(self):
@@ -206,6 +242,15 @@ class TestMahlerRoots:
     def test_two_dim_rejected(self):
         with pytest.raises(ValueError):
             mahler_measure_roots(GroupRingElement(2, {(0, 0): 1, (1, 1): 1}))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_reciprocal_when_the_companion_matrix_overflows(self):
+        # np.roots would divide by the leading 1e-300; 1e300 u^2 + 1e-300 has
+        # the same measure and its roots, of modulus 1e-300, lie inside
+        assert mahler_measure_roots(poly({0: 1e300, 2: 1e-300})) == math.log(1e300)
+        assert mahler_measure_roots(poly({0: 1e-300, 2: 1e300})) == math.log(1e300)
+        with pytest.raises(ArithmeticError, match="both orientations"):
+            mahler_measure_roots(poly({0: 1e-300, 1: 1e300, 2: 1e-300}))
 
     def test_repeated_roots_on_the_circle(self):
         # np.roots scatters a k-fold root by about eps^(1/k)

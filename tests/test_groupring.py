@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +108,8 @@ class TestElementOps:
         big = 10 ** 400
         assert elem(1, {(0,): big, (1,): -big}).norm1() == 2 * big
         assert type(elem(1, {(0,): 2, (1,): 3}).norm1()) is int
+        # an int sum past the float range cannot take a float term
+        assert elem(1, {(0,): big, (1,): 0.5}).norm1() == math.inf
 
     def test_json_round_trip(self):
         f = elem(2, {(0, 0): 1, (1, 0): -2.5})
