@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,9 @@ from .entropy import (
 _EPS_SWEEP = (1e-8, 1e-10, 1e-12)
 # a level holds 8 bytes per cell, so the cap implies about 128 MB plus the blocks
 _GRID_CELL_CAP = 1 << 24
-_BLOCK_CELLS = 1 << 16  # cells per block of rows in _torus_abs, 1 MB of complex
+# cells per block of rows in _torus_abs, 1 MB of complex; a block is at least
+# one slab of grid^(d-1) cells, so for d >= 4 it can be larger
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,7 @@ class MahlerResult:
     eps_spread: float
 
 
-def _torus_abs(f: GroupRingElement, grid: int, threads: int = 1,
-               pool: ThreadPoolExecutor | None = None) -> np.ndarray:
+def _torus_abs(f: GroupRingElement, grid: int, threads: int = 1) -> np.ndarray:
     """|f| evaluated on the shifted midpoint grid ((k+1/2)/grid per axis).
 
     Each term is c exp(2 pi i phase), with the phase summed over only the
@@ -76,8 +76,8 @@ def _torus_abs(f: GroupRingElement, grid: int, threads: int = 1,
     the phase summed over all axes. A product of per-axis characters would
     differ in the last bit, which moves a level by an ulp and the error
     estimate, a difference of levels, by up to 2.5e-10 relative. The result
-    is filled in blocks of whole rows of about _BLOCK_CELLS cells, at least
-    one per worker, on `pool` or else a pool made here; no complex array
+    is filled in blocks of whole first-axis slabs, at least one per worker
+    and about _BLOCK_CELLS cells where a slab is smaller; no complex array
     spans the grid, and no cell depends on the split."""
     d = f.dim
     # the first axis is made per block, so in 1-D only the result spans the grid
@@ -107,8 +107,8 @@ def _torus_abs(f: GroupRingElement, grid: int, threads: int = 1,
     n = max(min(grid, -(-grid ** d // _BLOCK_CELLS)), workers if parallel else 1)
     blocks = [slice(grid * i // n, grid * (i + 1) // n) for i in range(n)]
     if parallel:
-        with nullcontext(pool) if pool else ThreadPoolExecutor(max_workers=workers) as p:
-            list(p.map(fill, blocks))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, blocks))
     else:
         for rows in blocks:
             fill(rows)
@@ -146,19 +146,16 @@ def mahler_measure(
                                 g ** f.dim, _GRID_CELL_CAP)
     eps_levels = sorted(set(_EPS_SWEEP) | {cfg.eps})
     values = {eps: [] for eps in eps_levels}
-    # one pool for every level; it starts no thread unless _torus_abs uses it
-    with (ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
-          if threads > 1 else nullcontext()) as pool:
-        for g in grids:
-            # log is monotone, so each eps floor is a floor on one pass of logs,
-            # and in place, as max(max(x, a), b) = max(x, b) for ascending eps
-            logs = _torus_abs(f, g, threads, pool)
-            np.maximum(logs, eps_levels[0], out=logs)
-            np.log(logs, out=logs)
-            for eps in eps_levels:
-                np.maximum(logs, np.log(eps), out=logs)
-                values[eps].append(float(logs.mean()) + k * math.log(2))
-            del logs  # before the next level is filled
+    for g in grids:
+        # log is monotone, so each eps floor is a floor on one pass of logs,
+        # and in place, as max(max(x, a), b) = max(x, b) for ascending eps
+        logs = _torus_abs(f, g, threads)
+        np.maximum(logs, eps_levels[0], out=logs)
+        np.log(logs, out=logs)
+        for eps in eps_levels:
+            np.maximum(logs, np.log(eps), out=logs)
+            values[eps].append(float(logs.mean()) + k * math.log(2))
+        del logs  # before the next level is filled
     main = values[cfg.eps]
     diffs = [b - a for a, b in zip(main, main[1:])]
     converged = len(diffs) < 2 or abs(diffs[-1]) <= abs(diffs[-2]) + 1e-15
