@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,6 +52,7 @@ _KEY_BITS = 62  # int64 keys while every key bit is below this
 _VALUE_LIMIT = 1 << 62  # exact int64 values stay below this
 _FLOAT_LIMIT = 2.0 ** 512  # float values at or past this are divided by it
 _RYSER_MAX_COLS = 24
+_BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1  # row v: the bits of v
 
 
 def log_of(x) -> float:
@@ -112,35 +114,23 @@ def _candidates(keys, vals, base, choices, need):
     target and leaves no dying required target unclaimed. A choice
     (test, put, w) takes the states whose ``test`` bit is clear and whose
     ``need`` bits are set, adds ``put`` to their ``base`` key and multiplies
-    by w. Each choice copies only its admissible states, straight into one
-    preallocated pair of arrays: on wide tori these arrays set the peak
-    memory."""
-    picks = []
-    for test, put, w in choices:
-        if need | test:
-            sel = (keys & (need | test)) == need & ~test
-            count = int(np.count_nonzero(sel))
-        else:
-            sel = None
-            count = keys.size
-        picks.append((sel, count, put, w))
-    total = sum(count for _, count, _, _ in picks)
-    kk = np.empty(total, dtype=base.dtype)
-    vv = np.empty(total, dtype=vals.dtype)
+    by w. Each choice compacts its admissible states by a boolean mask and
+    writes them, put and weight applied, into its slice of one preallocated
+    pair of arrays."""
+    sels = [(keys & (need | test)) == need & ~test if need | test else slice(None)
+            for test, _, _ in choices]
+    sizes = [keys.size if isinstance(sel, slice) else int(np.count_nonzero(sel)) for sel in sels]
+    kk = np.empty(sum(sizes), dtype=base.dtype)
+    vv = np.empty(sum(sizes), dtype=vals.dtype)
     start = 0
-    for sel, count, put, w in picks:
-        nk = kk[start:start + count]
-        nv = vv[start:start + count]
-        start += count
-        if sel is None:
-            nk[:] = base
-            nv[:] = vals
+    for sel, size, (_, put, w) in zip(sels, sizes, choices):
+        nk, nv = kk[start:start + size], vv[start:start + size]
+        start += size
+        np.bitwise_or(base[sel], put, out=nk)
+        if w == 1:
+            nv[:] = vals[sel]
         else:
-            np.compress(sel, base, out=nk)
-            np.compress(sel, vals, out=nv)
-        if put:
-            nk |= put
-        nv *= w
+            np.multiply(vals[sel], w, out=nv)
     return kk, vv
 
 
@@ -230,6 +220,7 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int, cu
     the permanent.
     """
     last = {j: k for k, row in enumerate(rows) for j, _ in row}
+    signed = any(w < 0 for row in rows for _, w in row)  # else every value is >= 0
     keys = np.zeros(1, dtype=np.int64)
     vals = np.ones(1, dtype=np.int64 if exact else np.float64)
     bit: dict[int, int] = {}  # target -> its key bit; dead entries are never read
@@ -250,7 +241,8 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int, cu
                 nodes, budget,
             )
         if exact and vals.dtype != object:
-            bound = max(int(np.abs(vals).sum()), 1) * sum(abs(w) for _, w in row)
+            bound = max(int((np.abs(vals) if signed else vals).sum()), 1) * sum(
+                abs(w) for _, w in row)
             if bound >= _VALUE_LIMIT:
                 vals = vals.astype(object)
         # a required target dying here must be claimed in the state already
@@ -277,14 +269,21 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int, cu
         # convert keys & keep, not keys: a dying bit may sit above 62
         base = (keys & keep).astype(object if used >> _KEY_BITS else np.int64, copy=False)
         kk, vv = _candidates(keys, vals, base, choices, need)
+        del keys, vals, base  # the snapshots keep what they need
         if kk.size == 0:  # no pattern: every later state is empty
             return snaps + [(kk, vv, exp, {})] * (len(cuts) - len(snaps)), nodes
         order = np.argsort(kk, kind="stable")
         kk = kk[order]
         vv = vv[order]
-        starts = np.flatnonzero(np.concatenate(([True], kk[1:] != kk[:-1])))
+        del order
+        first = np.empty(kk.size, dtype=bool)  # the first key of each run
+        first[0] = True
+        np.not_equal(kk[1:], kk[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        del first
         keys = kk[starts]
         vals = np.add.reduceat(vv, starts)
+        del kk, vv, starts
         if not exact and max(vals.max(), -vals.min()) >= _FLOAT_LIMIT:
             vals = vals / _FLOAT_LIMIT
             exp += 512
@@ -396,15 +395,17 @@ def _weights(f: GroupRingElement, terms: dict, exact: bool | None):
 
     Exact weights are Python ints, and a non-integer coefficient raises
     ValueError; exact=None picks them when every coefficient is an integer.
-    Float weights are the terms divided by the scale max |c|.
+    Float weights are the terms divided by the scale max |c|, which is kept
+    exact, int or float: each quotient is rounded once, so an int scale
+    past the float range still gives weights in [-1, 1].
     """
     integer = f.is_integer()
     if integer if exact is None else exact:
         if not integer:
             raise ValueError("element has non-integer coefficients")
         return {a: int(c) for a, c in terms.items()}, None
-    normalize = float(max((abs(c) for c in terms.values()), default=1))
-    return {a: c / normalize for a, c in terms.items()}, normalize
+    normalize = max((abs(c) for c in terms.values()), default=1)
+    return {a: float(Fraction(c) / Fraction(normalize)) for a, c in terms.items()}, normalize
 
 
 def window_permanent(
@@ -540,23 +541,39 @@ def torus_permanent(
 def _join(snap, other, partner, exact: bool):
     """Sum over K of F[K] * G[partner(L - K)] as (value, exp), for the
     _frontier snapshots F = ``snap`` with live targets L and G = ``other``.
-    Exact products are int64 while sum |F| * max |G| is below 2^62; float
-    halves are scaled to at most 1 by powers of two, so none overflows."""
+    The key of partner(L - K) is built one key byte at a time, from a
+    256-entry table per byte of the partner bits of its set bits. Exact
+    products are int64 while sum |F| * max |G| is below 2^62; float halves
+    are scaled to at most 1 by powers of two, so none overflows."""
     keys, vals, exp, live = snap
     okeys, ovals, oexp, olive = other
     rest = keys ^ sum(live.values())
-    want = np.zeros(keys.size, dtype=okeys.dtype)
+    top = max(live.values(), default=0).bit_length()
+    moved = [0] * ((top + 7) // 8 * 8)  # the partner bit of each key bit, or 0
     for t, b in live.items():
-        want |= (rest >> b.bit_length() - 1 & 1).astype(okeys.dtype) * olive[partner(t)]
+        moved[b.bit_length() - 1] = olive[partner(t)]
+    if rest.dtype != object:  # int64 keys are read as their 8 little-endian bytes
+        rest = rest.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    want = np.zeros(keys.size, dtype=okeys.dtype)
+    for i in range(0, len(moved), 8):
+        # entry v of the table is the partner key of the bits of v << i
+        table = _BYTE_BITS @ np.array(moved[i:i + 8], dtype=okeys.dtype)
+        want |= table[rest[:, i // 8] if rest.ndim == 2 else (rest >> i & 255).astype(np.intp)]
+    del rest  # from here on each array is dropped once read
     order = np.argsort(want)  # sorted needles search faster
     want = want[order]
-    at = np.minimum(np.searchsorted(okeys, want), okeys.size - 1)
+    at = np.searchsorted(okeys, want)
+    np.minimum(at, okeys.size - 1, out=at)
     hit = okeys[at] == want
-    x, y = vals[order[hit]], ovals[at[hit]]
+    del want
+    x = vals[order[hit]]
+    del order
+    y = ovals[at[hit]]
+    del at, hit
     if exact:
         if int(np.abs(x).sum()) * int(np.abs(y).max(initial=0)) >= _VALUE_LIMIT:
             x, y = x.astype(object), y.astype(object)
-        return int((x * y).sum()), 0
+        return int(np.dot(x, y)), 0
     ex, ey = (math.frexp(np.abs(z).max(initial=0.0))[1] for z in (x, y))
     return float(np.dot(np.ldexp(x, -ex), np.ldexp(y, -ey))), exp + oexp + ex + ey
 

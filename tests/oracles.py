@@ -5,7 +5,8 @@ exhaustive product filters, factorial-expansion permanents, plain recursive
 backtracking, and Jensen's formula via polynomial roots. These are slow on
 purpose and kept free of the package's kernel machinery, except
 ``full_quotient_permanent``, which runs the plain frontier sweep over a
-whole torus as the reference for the torus split and join.
+whole torus as the reference for the torus split and join, and
+``per_bit_join``, the join with its partner keys built bit by bit.
 """
 
 from __future__ import annotations
@@ -132,6 +133,30 @@ def full_quotient_permanent(f, quotient, exact=None, budget=10**8):
     rows = _rows(sites, weights, {p: j for j, p in enumerate(sites)}, quotient.reduce)
     raw, exp = _sweep(rows, (1 << len(sites)) - 1, normalize is None, budget)
     return _scaled_logvalue(raw, exp, normalize, quotient.size)
+
+
+def per_bit_join(snap, other, partner, exact):
+    """The torus join of two frontier snapshots, as ``permanent._join``
+    defines it, with the partner key built one live bit at a time: each free
+    bit of the snapshot is tested on its own and mapped to its partner's
+    bit."""
+    keys, vals, exp, live = snap
+    okeys, ovals, oexp, olive = other
+    rest = keys ^ sum(live.values())
+    want = np.zeros(keys.size, dtype=okeys.dtype)
+    for t, b in live.items():
+        want |= (rest >> b.bit_length() - 1 & 1).astype(okeys.dtype) * olive[partner(t)]
+    order = np.argsort(want)
+    want = want[order]
+    at = np.minimum(np.searchsorted(okeys, want), okeys.size - 1)
+    hit = okeys[at] == want
+    x, y = vals[order[hit]], ovals[at[hit]]
+    if exact:
+        if int(np.abs(x).sum()) * int(np.abs(y).max(initial=0)) >= 1 << 62:
+            x, y = x.astype(object), y.astype(object)
+        return int((x * y).sum()), 0
+    ex, ey = (math.frexp(np.abs(z).max(initial=0.0))[1] for z in (x, y))
+    return float(np.dot(np.ldexp(x, -ex), np.ldexp(y, -ey))), exp + oexp + ex + ey
 
 
 def signed_target_sum(f, F, target, budget=10**8):

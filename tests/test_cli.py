@@ -491,6 +491,29 @@ class TestCompare:
         assert "2x2[admissible]" not in err
 
 
+class TestIntScalePastFloatRange:
+    """The float path divides by the exact max |c|: 10^320 u^2 + 0.5 u^3
+    mixes an int past the float range with a float term."""
+
+    HUGE = ('{"dim":1,"terms":[{"exp":[2],"coef":' + str(10 ** 320) + '},'
+            '{"exp":[3],"coef":0.5}]}')
+
+    @pytest.mark.parametrize("argv,key", [
+        (["permanent", "--windows", "4"], "admissible"),
+        (["permanent", "--windows", "4"], "injective"),
+        (["periodic", "--tori", "5"], "tori"),
+    ])
+    def test_values_are_size_log_scale(self, capsys, argv, key):
+        code, out, err = run(capsys, argv + ["--inline", self.HUGE])
+        assert code == 0, err
+        payload = json.loads(out)
+        row = payload[key][0] if key == "tori" else payload[key]
+        size = row["sites"] if key == "tori" else payload["size"]
+        # every other pattern weighs at most 10^-320 of the all-u^2 one
+        assert row["log_value"] == pytest.approx(size * math.log(10 ** 320), rel=1e-12)
+        assert row["normalized"] == pytest.approx(math.log(10 ** 320), rel=1e-12)
+
+
 class TestPeriodic:
     def test_two_point_counts_constant(self, capsys):
         code, out, _ = run(capsys, ["periodic", "--inline", TWO_POINT,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -725,6 +726,60 @@ class TestTorusJoin:
             assert torus_permanent(f, TorusQuotient(moduli), budget=2420).linear == want
             with pytest.raises(CapacityError):
                 torus_permanent(f, TorusQuotient(moduli), budget=2419)
+
+    def test_unit_dimer_10x10_peak_memory(self):
+        # the cut before slab 5 holds C(20, 10) = 184 756 states; a row that
+        # drops its inputs and sort arrays once read peaks near 57 bytes a
+        # state, and the join near 49, where holding them all took 105
+        f = ones([[1, 0], [-1, 0], [0, 1], [0, -1]])
+        torus_permanent(f, TorusQuotient((4, 4)))
+        tracemalloc.start()
+        try:
+            torus_permanent(f, TorusQuotient((10, 10)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * math.comb(20, 10)
+
+    @pytest.mark.parametrize("bits,obits", [
+        (list(range(20)), [7, 3, 0, 19, 12, 5, 1, 18, 9, 2, 4, 17, 6, 11, 8, 16, 10, 15, 13, 14]),
+        ([0, 20, 41], [2, 1, 0]),  # a key byte with no live bit between
+        ([0, 5, 63, 64, 70, 90], [1, 2, 3, 8, 9, 17]),  # object keys, int64 partners
+        ([0, 9, 17, 30, 61], [62, 63, 100, 3, 7]),  # int64 keys, object partners
+        ([62, 65, 80, 0, 1], [70, 71, 2, 100, 33]),
+        ([], []),  # nothing live: the one empty state joins the other's
+    ])
+    @pytest.mark.parametrize("exact,scale", [(True, 1), (True, 2 ** 40), (False, 1)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_join_matches_per_bit_oracle(self, bits, obits, exact, scale, seed):
+        rng = np.random.default_rng(seed)
+        n = len(bits)
+        perm = [int(p) for p in rng.permutation(n)]
+        live = {t: 1 << b for t, b in enumerate(bits)}
+        olive = {100 + t: 1 << b for t, b in enumerate(obits)}
+
+        def snapshot(subsets, bitmap):
+            # bit i of a subset picks the i-th live target
+            keys = sorted({sum(b for i, b in enumerate(bitmap.values()) if s >> i & 1)
+                           for s in subsets})
+            wide = max(bitmap.values(), default=0) >> 62  # keys as the sweep holds them
+            if exact:
+                vals = rng.integers(1, 10, len(keys)) * scale
+            else:
+                vals = rng.random(len(keys)) * 2.0 ** int(rng.integers(-40, 40))
+            return (np.array(keys, dtype=object if wide else np.int64), vals,
+                    0 if exact else int(rng.integers(0, 1024)), bitmap)
+
+        mine = [int(s) for s in rng.integers(0, 1 << n, 200)]
+        # the partner sets of half the complements, and as many others
+        full = (1 << n) - 1
+        theirs = [sum(1 << perm[i] for i in range(n) if (full & ~s) >> i & 1)
+                  for s in mine[::2]] + [int(s) for s in rng.integers(0, 1 << n, 100)]
+        snap, other = snapshot(mine, live), snapshot(theirs, olive)
+        partner = {t: 100 + perm[t] for t in live}.__getitem__
+        got = permanent._join(snap, other, partner, exact)
+        assert got == oracles.per_bit_join(snap, other, partner, exact)
+        assert got[0] > 0
 
 
 class TestFloatRange:
