@@ -12,7 +12,7 @@ sandwich everything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -376,15 +376,15 @@ def _spectral_radius(T: TransferMatrix, tol: float = 1e-13,
 def transfer_pressure(f: GroupRingElement | TransferMatrix) -> float:
     """Exact pressure over Z: log spectral radius of the transfer matrix.
 
-    Takes the weight itself or its already built TransferMatrix. The shift
+    Takes the weight itself or a TransferMatrix, solved as it is. The shift
     I of the power iteration on I + B mixes periodic chains only while B's
-    weights are not far above 1, so B / max weight is solved."""
-    T = f if isinstance(f, TransferMatrix) else transfer_matrix(f)
-    scale = float(T.matrix.weight.max())
-    rho = _spectral_radius(replace(T, matrix=replace(T.matrix, weight=T.matrix.weight / scale)))
+    weights are not far above 1, so a weight f = 2^k g from f.unit_scale()
+    is solved as g, and k log 2 is added."""
+    g, k = (f, 0) if isinstance(f, TransferMatrix) else f.unit_scale()
+    rho = _spectral_radius(g if isinstance(g, TransferMatrix) else transfer_matrix(g))
     if rho <= 0:
         return float("-inf")
-    return math.log(rho) + math.log(scale)
+    return math.log(rho) + k * math.log(2)
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +392,12 @@ def transfer_pressure(f: GroupRingElement | TransferMatrix) -> float:
 
 
 def pressure_lower_bound(f: GroupRingElement) -> float:
-    """log(||f||_1 / e), the van der Waerden floor for the pressure; a float
-    norm past the float range is split as log max|c| + log(||f||_1 / max|c|)."""
-    n1 = f.norm1()
-    if n1 == 0:
+    """log(||f||_1 / e), the van der Waerden floor for the pressure, as
+    log ||g||_1 + k log 2 - 1 for f = 2^k g from f.unit_scale()."""
+    if f.is_zero():
         return float("-inf")
-    if n1 == math.inf:
-        top = max(abs(c) for c in f.terms.values())
-        return math.log(top) + math.log(sum(abs(c) / top for c in f.terms.values())) - 1.0
-    return math.log(n1) - 1.0
+    g, k = f.unit_scale()
+    return math.log(g.norm1()) + k * math.log(2) - 1.0
 
 
 def entropy_upper_bound(A: Window) -> float:
@@ -447,9 +444,9 @@ def estimate_report(
     transfer_value = None
     if f.dim == 1:
         try:
-            T = transfer_matrix(f)
-            transfer_value = transfer_pressure(T)
-            rows.append(EstimateRow("transfer", T.size, transfer_value,
+            transfer_value = transfer_pressure(f)
+            states = 1 << (max(f.terms)[0] - min(f.terms)[0])
+            rows.append(EstimateRow("transfer", states, transfer_value,
                                     transfer_value, "transfer"))
         except CapacityError as e:
             skipped.append(f"transfer: {e}")

@@ -127,18 +127,16 @@ def mahler_measure(
     sweep to the last refinement difference, and Richardson-style
     extrapolation is applied when the differences shrink geometrically.
     Every grid level is checked against the cell cap before any runs.
-    Past sum |c| = 2^1000, where the terms could sum to inf, they are divided
-    by 2^k, 2^(k-1) <= max |c| < 2^k, and k log 2 goes back onto each level;
-    other elements keep their bits, as an ulp in a level moves the error
+    When max |c| < 1, where the eps floor must be relative, or sum |c| >=
+    2^1000, where the terms could sum to inf, the levels are taken on g,
+    f = 2^k g from f.unit_scale(), and k log 2 goes back onto each level.
+    Other elements keep their bits, as an ulp in a level moves the error
     estimate by up to 2.5e-10 relative.
     """
     if f.is_zero():
         raise ValueError("mahler measure of the zero element is undefined")
-    k = 0
-    if f.norm1() >= 2 ** 1000:  # int() is exact: a float past 2^53 is an integer
-        k = int(max(abs(c) for c in f.terms.values())).bit_length()
-        f = GroupRingElement(f.dim, {p: c / (1 << k) if isinstance(c, int)
-                                     else math.ldexp(c, -k) for p, c in f.terms.items()})
+    g, k = f.unit_scale()
+    f, k = (g, k) if k < 0 or g.norm1() >= 2.0 ** (1000 - k) else (f, 0)
     grids = [cfg.grid << i for i in range(cfg.refinements + 1)]
     for g in grids:
         if g ** f.dim > _GRID_CELL_CAP:
@@ -175,22 +173,24 @@ def mahler_measure_roots(f: GroupRingElement) -> float:
     """Exact one-dimensional Mahler measure: log of the leading coefficient
     magnitude plus log-magnitudes of the roots outside the unit circle.
 
-    np.roots divides by the leading coefficient; where that overflows, the
-    reciprocal polynomial u^n f(1/u), which has the same measure, is used.
-    ArithmeticError when both orientations overflow."""
+    The roots are those of g, f = 2^k g from f.unit_scale(), between its
+    first and last nonzero terms: a zero end is a root at 0 or a lower
+    degree. np.roots divides by the leading coefficient; where that
+    overflows, the reciprocal polynomial u^n g(1/u), which has the same
+    measure, is used. ArithmeticError when both orientations overflow."""
     if f.dim != 1:
         raise ValueError("root-based mahler measure needs dimension one")
     if f.is_zero():
         raise ValueError("mahler measure of the zero element is undefined")
-    lo = min(p[0] for p in f.terms)
-    hi = max(p[0] for p in f.terms)
-    forward = [f.coef((k,)) for k in range(hi, lo - 1, -1)]
+    g, k = f.unit_scale()
+    support = [p[0] for p, c in g.terms.items() if c]
+    forward = [g.coef((e,)) for e in range(max(support), min(support) - 1, -1)]
     for coeffs in (forward, forward[::-1]):
         if all(math.isfinite(c / coeffs[0]) for c in coeffs[1:]):
             break
     else:
         raise ArithmeticError("root finding overflows in both orientations")
-    value = math.log(abs(coeffs[0]))
+    value = math.log(abs(coeffs[0])) + k * math.log(2)
     if len(coeffs) > 1:
         for r in _merge_multiple_roots(coeffs, np.roots(coeffs)):
             m = abs(r)

@@ -144,7 +144,8 @@ def folner_defect(F: Window, K: Window) -> float:
 
 
 class GroupRingElement:
-    """Finitely supported function Z^d -> R, stored without zero terms."""
+    """Finitely supported function Z^d -> R, stored without zero terms
+    (unit_scale keeps the ones that underflow in its g)."""
 
     __slots__ = ("dim", "terms")
 
@@ -227,13 +228,25 @@ class GroupRingElement:
         return GroupRingElement(self.dim, out)
 
     def norm1(self) -> float | int:
-        """sum |c|, exact (an int) for integer coefficients; inf when an
-        int partial sum past the float range meets a float, as the sum is
-        past that range too."""
-        try:
-            return sum(abs(c) for c in self.terms.values())
-        except OverflowError:
-            return math.inf
+        """sum |c|, exact (an int) for integer coefficients."""
+        return sum(abs(c) for c in self.terms.values())
+
+    def unit_scale(self) -> tuple["GroupRingElement", int]:
+        """(g, k) with self = 2^k g and 1 <= max |g| < 2, g in floats.
+
+        k, the largest binary exponent of a coefficient, is exact from
+        int.bit_length or math.frexp: no sum, no float() of a big int. Each
+        term of g is rounded once (an integer past 2^53 may round up to 2),
+        and one that underflows stays in g's support as 0.0, as window
+        interiors, torus separation and the transfer span read it. The zero
+        element is its own g, with k = 0."""
+        k = max((abs(c).bit_length() - 1 if isinstance(c, int) else math.frexp(c)[1] - 1
+                 for c in self.terms.values()), default=0)
+        g = object.__new__(GroupRingElement)  # __init__ would drop the 0.0 terms
+        object.__setattr__(g, "dim", self.dim)
+        object.__setattr__(g, "terms", {p: c / (1 << k) if isinstance(c, int)
+                                        else math.ldexp(c, -k) for p, c in self.terms.items()})
+        return g, k
 
     def min_positive(self) -> float:
         """Smallest strictly positive coefficient (the normalizer kappa)."""

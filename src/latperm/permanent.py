@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .groupring import (
     dilate,
     interior,
     neg,
-    project,
     separated_on_quotient,
     sub,
 )
@@ -53,15 +51,6 @@ _VALUE_LIMIT = 1 << 62  # exact int64 values stay below this
 _FLOAT_LIMIT = 2.0 ** 512  # float values at or past this are divided by it
 _RYSER_MAX_COLS = 24
 _BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1  # row v: the bits of v
-
-
-def log_of(x) -> float:
-    """Natural log of a nonnegative number, exact-int friendly, -inf at zero."""
-    if x == 0:
-        return float("-inf")
-    if isinstance(x, int):
-        return math.log(x)
-    return math.log(float(x))
 
 
 @dataclass(frozen=True)
@@ -82,7 +71,7 @@ class LogValue:
         if v == 0:
             return LogValue(float("-inf"), 0, 0)
         s = 1 if v > 0 else -1
-        return LogValue(log_of(abs(v)), s, v)
+        return LogValue(math.log(abs(v)), s, v)  # an int of any size too
 
     @staticmethod
     def from_log(log: float, sign: int = 1) -> "LogValue":
@@ -389,23 +378,19 @@ def _rows(sites, weights: dict, index: dict, reduce=None):
     ]
 
 
-def _weights(f: GroupRingElement, terms: dict, exact: bool | None):
-    """The sweep weights of f's terms (by displacement, projected on a
-    torus) and the scale of the float path.
-
-    Exact weights are Python ints, and a non-integer coefficient raises
-    ValueError; exact=None picks them when every coefficient is an integer.
-    Float weights are the terms divided by the scale max |c|, which is kept
-    exact, int or float: each quotient is rounded once, so an int scale
-    past the float range still gives weights in [-1, 1].
-    """
+def _weights(f: GroupRingElement, exact: bool | None, reduce=None):
+    """The sweep weights of f's terms by displacement, mapped onto a
+    quotient by ``reduce`` if given, and k. On the exact path k is None and
+    the weights are Python ints; exact=None picks it when every coefficient
+    is an integer, and a non-integer one raises ValueError. Float weights
+    are the terms of g, f = 2^k g from f.unit_scale(), all below 2."""
     integer = f.is_integer()
-    if integer if exact is None else exact:
-        if not integer:
-            raise ValueError("element has non-integer coefficients")
-        return {a: int(c) for a, c in terms.items()}, None
-    normalize = max((abs(c) for c in terms.values()), default=1)
-    return {a: float(Fraction(c) / Fraction(normalize)) for a, c in terms.items()}, normalize
+    if not (integer if exact is None else exact):
+        g, k = f.unit_scale()
+        return {reduce(a) if reduce else a: c for a, c in g.terms.items()}, k
+    if not integer:
+        raise ValueError("element has non-integer coefficients")
+    return {reduce(a) if reduce else a: int(c) for a, c in f.terms.items()}, None
 
 
 def window_permanent(
@@ -422,8 +407,9 @@ def window_permanent(
     mode 'injective' sums over injective patterns, 'admissible' additionally
     requires the image to cover the interior of F. The result is an exact
     Python int when f has integer coefficients (or exact=True), however
-    large; otherwise it is computed in floats with f scaled to max |f_a| = 1.
-    The ``dfs`` and ``ryser`` backends are cross-checks on the same rows.
+    large; otherwise it is computed in floats on g, f = 2^k g from
+    f.unit_scale(), and |F| k log 2 is added to the log. The ``dfs`` and
+    ``ryser`` backends are cross-checks on the same rows.
     """
     if backend not in ("sweep", "dfs", "ryser"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -434,8 +420,8 @@ def window_permanent(
         return LogValue.from_linear(1 if len(F) == 0 else 0)
     if not f.support().point_set <= A.point_set:
         raise ValueError("support of f must lie inside A")
-    weights, normalize = _weights(f, f.terms, exact)
-    use_exact = normalize is None
+    weights, k = _weights(f, exact)
+    use_exact = k is None
     index = {t: j for j, t in enumerate(dilate(F, A).points)}
     rows = _rows(F.points, weights, index)
     required = [index[t] for t in interior(F, A).points] if mode == "admissible" else []
@@ -448,17 +434,17 @@ def window_permanent(
         raw = _dfs_permanent(rows, req_mask, use_exact, budget)
     else:
         raw = _inclusion_exclusion_permanent(rows, len(index), required, use_exact)
-    return _scaled_logvalue(raw, exp, normalize, len(F))
+    return _scaled_logvalue(raw, exp, k, len(F))
 
 
-def _scaled_logvalue(raw, exp, normalize, nsites) -> LogValue:
-    """raw * 2^exp * normalize^nsites, or the exact raw if normalize is None."""
-    if normalize is None:
+def _scaled_logvalue(raw, exp, k, nsites) -> LogValue:
+    """raw * 2^exp * (2^k)^nsites, or the exact raw if k is None."""
+    if k is None:
         return LogValue.from_linear(raw)
     if raw == 0:
         return LogValue.from_linear(0)
     sign = 1 if raw > 0 else -1
-    log = math.log(abs(raw)) + nsites * math.log(normalize) + exp * math.log(2)
+    log = math.log(abs(raw)) + nsites * k * math.log(2) + exp * math.log(2)
     return LogValue.from_log(log, sign)
 
 
@@ -514,8 +500,8 @@ def torus_permanent(
     axes = sorted(range(f.dim), key=lambda i: -quotient.moduli[i])
     f = GroupRingElement(f.dim, {tuple(p[i] for i in axes): c for p, c in f.terms.items()})
     quotient = TorusQuotient(tuple(quotient.moduli[i] for i in axes))
-    weights, normalize = _weights(f, project(f, quotient), exact)
-    use_exact = normalize is None
+    weights, k = _weights(f, exact, quotient.reduce)
+    use_exact = k is None
     sites = quotient.points()
     index = {p: j for j, p in enumerate(sites)}
     rows = _rows(sites, weights, index, quotient.reduce)
@@ -532,7 +518,7 @@ def torus_permanent(
     v = sites[members[a * width]] if a < m else sites[0]
     value, exp = _join(snap_a, snap_b, lambda t: index[quotient.reduce(sub(sites[t], v))],
                        use_exact)
-    h, n = _scaled_logvalue(value, exp, normalize, len(members)), len(parts)
+    h, n = _scaled_logvalue(value, exp, k, len(members)), len(parts)
     if use_exact:
         return LogValue.from_linear(h.linear ** n)
     return LogValue.from_log(n * h.log, h.sign ** n)

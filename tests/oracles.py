@@ -125,14 +125,13 @@ def full_quotient_permanent(f, quotient, exact=None, budget=10**8):
     quotient in the given coordinate order: every coset is swept, with no
     coset power, no join and no change of axes. Same value conventions as
     ``torus_permanent``."""
-    from latperm.groupring import project
     from latperm.permanent import _rows, _scaled_logvalue, _sweep, _weights
 
-    weights, normalize = _weights(f, project(f, quotient), exact)
+    weights, k = _weights(f, exact, quotient.reduce)
     sites = quotient.points()
     rows = _rows(sites, weights, {p: j for j, p in enumerate(sites)}, quotient.reduce)
-    raw, exp = _sweep(rows, (1 << len(sites)) - 1, normalize is None, budget)
-    return _scaled_logvalue(raw, exp, normalize, quotient.size)
+    raw, exp = _sweep(rows, (1 << len(sites)) - 1, k is None, budget)
+    return _scaled_logvalue(raw, exp, k, quotient.size)
 
 
 def per_bit_join(snap, other, partner, exact):
@@ -351,13 +350,13 @@ def direct_mahler(terms, dim, grid, refinements, eps):
     """Every MahlerResult field, in order, from whole-grid |f| arrays: levels
     at grid * 2^i for i <= refinements, each eps floor taken on its own copy
     of the logs, the differences, extrapolation and eps spread as documented
-    on mahler_measure. Past sum |c| = 2^1000 the terms are divided by 2^k,
-    2^(k-1) <= max |c| < 2^k, and k log 2 is added back."""
+    on mahler_measure. When max |c| < 1 or sum |c| >= 2^1000 the terms are
+    divided by 2^k, 2^k <= max |c| < 2^(k+1), and k log 2 is added back."""
     k = 0
-    if sum(abs(c) for c in terms.values()) >= 2 ** 1000:
-        k = int(max(abs(c) for c in terms.values())).bit_length()
-        terms = {p: c / (1 << k) if isinstance(c, int) else math.ldexp(c, -k)
-                 for p, c in terms.items()}
+    top = max(abs(c) for c in terms.values())
+    if top < 1 or sum(abs(c) for c in terms.values()) >= 2 ** 1000:
+        k = math.frexp(top)[1] - 1
+        terms = {p: math.ldexp(c, -k) for p, c in terms.items()}
     grids = [grid << i for i in range(refinements + 1)]
     sweep = (1e-8, 1e-10, 1e-12)
     values = {e: [] for e in sorted(set(sweep) | {eps})}

@@ -381,9 +381,16 @@ class TestMahler:
         assert payload["value"] == pytest.approx(math.log(1e300), rel=1e-12)
         both = ('{"dim":1,"terms":[{"exp":[0],"coef":1e-300},{"exp":[1],"coef":1e300},'
                 '{"exp":[2],"coef":1e-300}]}')
-        code, _, err = run(capsys, ["mahler", "--inline", both])
+        code, out, err = run(capsys, ["mahler", "--inline", both])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["roots_value"] == pytest.approx(math.log(1e300), rel=1e-12)
+        assert payload["value"] == pytest.approx(math.log(1e300), rel=1e-12)
+        subnormal = ('{"dim":1,"terms":[{"exp":[0],"coef":1e-310},{"exp":[1],"coef":1},'
+                     '{"exp":[2],"coef":1e-310}]}')
+        code, _, err = run(capsys, ["mahler", "--inline", subnormal])
         assert code == 4
-        assert "numerical" in err
+        assert "both orientations" in err
 
     @pytest.mark.parametrize("command", ["mahler", "pressure"])
     def test_int_norm_past_the_float_range_meets_a_float(self, capsys, command):
@@ -465,8 +472,8 @@ class TestCompare:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_dimer_past_the_float_range(self, capsys):
-        # the four weights sum to inf as floats: the floor splits off
-        # max |c| and the quadrature divides the terms by 2^1024
+        # the four weights sum to inf as floats: the floor and the
+        # quadrature take the element divided by 2^1023
         code, out, err = run(capsys, ["compare", "dimer", "--params", "a=1e308,b=1e308"])
         assert (code, err) == (0, "")
         payload = json.loads(out)
@@ -492,8 +499,9 @@ class TestCompare:
 
 
 class TestIntScalePastFloatRange:
-    """The float path divides by the exact max |c|: 10^320 u^2 + 0.5 u^3
-    mixes an int past the float range with a float term."""
+    """The float path takes f = 2^k g from unit_scale(), with k exact:
+    10^320 u^2 + 0.5 u^3 mixes an int past the float range with a float
+    term."""
 
     HUGE = ('{"dim":1,"terms":[{"exp":[2],"coef":' + str(10 ** 320) + '},'
             '{"exp":[3],"coef":0.5}]}')
@@ -512,6 +520,52 @@ class TestIntScalePastFloatRange:
         # every other pattern weighs at most 10^-320 of the all-u^2 one
         assert row["log_value"] == pytest.approx(size * math.log(10 ** 320), rel=1e-12)
         assert row["normalized"] == pytest.approx(math.log(10 ** 320), rel=1e-12)
+
+    BIG = {
+        # value: log c plus the value at unit scale (0 for 1 + u and 1 + 10^-320 u)
+        "10^320+u": ({0: 10 ** 320, 1: 1}, 320 * math.log(10)),
+        "10^320(1+u)": ({0: 10 ** 320, 1: 10 ** 320}, 320 * math.log(10)),
+        "2^1100+3u+u^2": ({0: 2 ** 1100, 1: 3, 2: 1}, 1100 * math.log(2)),
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["pressure", "mahler"])
+    @pytest.mark.parametrize("name", list(BIG))
+    def test_float_consumers_take_the_exact_scale(self, capsys, command, name):
+        terms, want = self.BIG[name]
+        inline = json.dumps({"dim": 1, "terms": [{"exp": [e], "coef": c}
+                                                 for e, c in terms.items()]})
+        extra = ["--windows", "2..3", "--tori", "4"] if command == "pressure" else []
+        code, out, err = run(capsys, [command, "--inline", inline] + extra)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        keys = ("transfer_value",) if command == "pressure" else ("value", "roots_value")
+        for key in keys:
+            assert payload[key] == pytest.approx(want, rel=1e-9)
+
+
+class TestBelowUnitScale:
+    """The quadrature's eps floor is relative: an element with max |c| < 1
+    is measured as g, f = 2^k g, plus k log 2."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_constant_mahler(self, capsys):
+        tiny = '{"dim":1,"terms":[{"exp":[0],"coef":1e-300}]}'
+        code, out, err = run(capsys, ["mahler", "--inline", tiny])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["value"] == pytest.approx(math.log(1e-300), rel=1e-12)
+        assert payload["roots_value"] == pytest.approx(math.log(1e-300), rel=1e-12)
+        assert payload["converged"] is True
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_dimer_det_inside_its_bracket(self, capsys):
+        code, out, err = run(capsys, ["compare", "dimer", "--params", "a=1e-12,b=1e-12"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        det = payload["det_value"]
+        assert det == pytest.approx(math.log(1e-12) + 2 * CATALAN / math.pi, abs=1e-6)
+        assert payload["per_estimate_low"] <= det <= payload["per_estimate_high"]
 
 
 class TestPeriodic:

@@ -451,7 +451,8 @@ class TestClosedFormBounds:
         assert abs(pressure_lower_bound(unit) + 1.0) < 1e-15
 
     def test_lower_formula_past_the_float_range(self):
-        # an int norm of 2e308 is exact; a float one is inf, split off max |c|
+        # an int norm of 2e308 is exact; a float one is inf, so the floor
+        # takes log ||g||_1 + k log 2 - 1 from unit_scale()
         ints = GroupRingElement(1, {(0,): int(1e308), (1,): int(1e308)})
         floats = GroupRingElement(2, {(1, 0): 1e308, (-1, 0): 1e308,
                                       (0, 1): 1e308, (0, -1): 1e308})

@@ -187,8 +187,8 @@ class TestMahlerMeasure:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", [float, int])
     def test_coefficients_past_the_float_range(self, kind):
-        # sum |c| = 2e308 overflows a float: the terms are divided by 2^1024
-        # and 1024 log 2 goes back onto every level; no root on the circle
+        # sum |c| = 2e308 overflows a float: the terms are divided by 2^1023
+        # and 1023 log 2 goes back onto every level; no root on the circle
         f = poly({0: kind(1.5e308), 1: kind(5e307)})
         r = mahler_measure(f, CFG)
         assert abs(r.value - mahler_measure_roots(f)) <= 1e-9
@@ -201,9 +201,12 @@ class TestMahlerMeasure:
         ({(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}, 24, 1e-8),
         # zeros on the midpoints, so every eps floors some cells
         ({(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1}, 64, 1e-10),
-        # sum |c| past 2^1000: the terms are scaled by 2^-1024
+        # sum |c| past 2^1000: the terms are scaled by 2^-1023
         ({(0, 0): 1.5e308, (1, 0): 5e307, (1, 1): -1e307}, 40, 1e-12),
         ({(0,): 1, (1,): 1, (2,): -1}, 8, 1e-10),
+        # max |c| below 1: the terms are scaled by 2^10, so the eps floor is
+        # relative to the element's size
+        ({(1, 0): 1e-3, (-1, 0): 1e-3, (0, 1): 1e-3, (0, -1): 1e-3}, 64, 1e-10),
     ])
     def test_streamed_levels_bit_identical_to_whole_grid(self, monkeypatch, terms,
                                                          grid, eps, threads):
@@ -249,8 +252,16 @@ class TestMahlerRoots:
         # the same measure and its roots, of modulus 1e-300, lie inside
         assert mahler_measure_roots(poly({0: 1e300, 2: 1e-300})) == math.log(1e300)
         assert mahler_measure_roots(poly({0: 1e-300, 2: 1e300})) == math.log(1e300)
+        # scaled by 2^-996 both ends underflow to 0.0 and are trimmed; the
+        # roots near -1e600 and -1e-600 give log 1e300 in the limit
+        both = poly({0: 1e-300, 1: 1e300, 2: 1e-300})
+        assert mahler_measure_roots(both) == pytest.approx(math.log(1e300), rel=1e-12)
+        # scaled by 2^-1, the 5e-324 ends round to 0.0: the measure is log 2
+        ends = poly({0: 5e-324, 2: 2, 3: 5e-324})
+        assert mahler_measure_roots(ends) == pytest.approx(math.log(2), rel=1e-12)
+        # subnormal ends that stay nonzero overflow the companion matrix
         with pytest.raises(ArithmeticError, match="both orientations"):
-            mahler_measure_roots(poly({0: 1e-300, 1: 1e300, 2: 1e-300}))
+            mahler_measure_roots(poly({0: 1e-310, 1: 1, 2: 1e-310}))
 
     def test_repeated_roots_on_the_circle(self):
         # np.roots scatters a k-fold root by about eps^(1/k)

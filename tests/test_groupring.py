@@ -108,8 +108,36 @@ class TestElementOps:
         big = 10 ** 400
         assert elem(1, {(0,): big, (1,): -big}).norm1() == 2 * big
         assert type(elem(1, {(0,): 2, (1,): 3}).norm1()) is int
-        # an int sum past the float range cannot take a float term
-        assert elem(1, {(0,): big, (1,): 0.5}).norm1() == math.inf
+        # an int sum past the float range cannot take a float term; the
+        # float consumers take unit_scale() instead, which needs no sum
+        with pytest.raises(OverflowError):
+            elem(1, {(0,): big, (1,): 0.5}).norm1()
+
+    def test_unit_scale_exponent_is_exact(self):
+        g, k = elem(1, {(0,): 3, (1,): 0.5}).unit_scale()
+        assert (g.terms, k) == ({(0,): 1.5, (1,): 0.25}, 1)
+        g, k = elem(1, {(0,): 10 ** 320, (1,): -1}).unit_scale()
+        assert k == 1063 and 1 <= g.coef((0,)) < 2 and g.coef((1,)) == -2.0 ** -1063
+        g, k = elem(1, {(0,): 5e-324, (2,): 1e-300}).unit_scale()
+        assert k == -997 and g.coef((0,)) == math.ldexp(5e-324, 997)
+        assert elem(1, {}).unit_scale()[1] == 0
+
+    def test_unit_scale_keeps_underflowed_terms(self):
+        # 3 * 2^-1100 rounds to 0.0, but the support still holds u
+        g, k = elem(1, {(0,): 2 ** 1100, (1,): 3}).unit_scale()
+        assert (g.terms, k) == ({(0,): 1.0, (1,): 0.0}, 1100)
+        assert g.support().points == ((0,), (1,))
+
+    # no term of g is subnormal, so g is f scaled exactly
+    @given(st.lists(st.floats(1e-150, 1e150) | st.integers(1, 10 ** 30), min_size=1,
+                    max_size=5))
+    def test_unit_scale_round_trip(self, coefs):
+        f = elem(1, {(i,): c for i, c in enumerate(coefs)})
+        g, k = f.unit_scale()
+        assert 1 <= max(abs(c) for c in g.terms.values()) < 2
+        for p, c in f.terms.items():
+            # a float past 2^53 in g is the int rounded once
+            assert math.ldexp(g.terms[p], k) == (c if isinstance(c, float) else float(c))
 
     def test_json_round_trip(self):
         f = elem(2, {(0, 0): 1, (1, 0): -2.5})
