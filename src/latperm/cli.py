@@ -573,11 +573,18 @@ _VERIFY_CHECKS = (
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
+    """One PASS/FAIL line per check. The first check that exceeds the budget
+    ends the run: its CAPACITY line follows the lines so far, and the exit is
+    1 if an earlier check failed, 3 otherwise."""
     rng = np.random.default_rng(_VERIFY_SEED)
     lines = []
     failures = 0
     for name, check in _VERIFY_CHECKS:
-        ok, detail = check(rng, cfg.budget)
+        try:
+            ok, detail = check(rng, cfg.budget)
+        except CapacityError as e:
+            lines.append(f"CAPACITY {name}: {e}")
+            return "\n".join(lines) + "\n", 1 if failures else 3
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if not ok:
             failures += 1

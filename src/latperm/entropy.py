@@ -24,7 +24,7 @@ from .groupring import (
     separated_on_quotient,
 )
 from .patterns import DEFAULT_BUDGET
-from .permanent import torus_permanent, window_permanent
+from .permanent import _candidates, torus_permanent, window_permanent
 
 
 @dataclass(frozen=True)
@@ -169,56 +169,23 @@ class Block:
         return D
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Profile transfer matrix for a one-dimensional weight function.
+_TRANSFER_MAX_SPAN = 20
+
+
+def transfer_matrix(f: GroupRingElement) -> tuple[Block, ...]:
+    """The claimed-positions transfer matrix of a nonnegative d=1 weight,
+    as its diagonal blocks by increasing popcount.
 
     States are bitmasks of already-claimed positions in the look-ahead window
     of width K = max displacement after translating the support to start at
     zero. Entry (S', S) sums the weights of displacement choices leading from
-    profile S to profile S'.
-
-    Each step claims one position and retires position zero, which must be
-    claimed by then, so a state's popcount (the sites left of the cut sent
-    to the right of it) never changes: the matrix is block diagonal, with
-    one sector of C(K, k) states for each popcount k.
-    """
-
-    span: int
-    matrix: Block
-
-    @property
-    def size(self) -> int:
-        return 1 << self.span
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.dense()
-
-    def sectors(self) -> list[Block]:
-        """The diagonal blocks by increasing popcount, states renumbered by
-        rank in their sector; together their spectra are the whole spectrum."""
-        states = np.arange(self.size)
-        pop = np.zeros_like(states)
-        for i in range(self.span):
-            pop += (states >> i) & 1
-        sizes = np.bincount(pop)
-        starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        rank = np.empty_like(states)
-        rank[np.argsort(pop, kind="stable")] = states - starts
-        M = self.matrix
-        sector = pop[M.src]
-        if np.any(pop[M.dst] != sector):
-            raise ArithmeticError("transfer matrix has entries between popcount sectors")
-        keeps = (sector == k for k in range(len(sizes)))
-        return [Block(int(n), rank[M.src[keep]], rank[M.dst[keep]], M.weight[keep])
-                for n, keep in zip(sizes, keeps)]
-
-
-_TRANSFER_MAX_SPAN = 20
-
-
-def transfer_matrix(f: GroupRingElement) -> TransferMatrix:
-    """Build the claimed-positions transfer matrix of a nonnegative d=1 weight."""
+    profile S to profile S'. A step is one row of the frontier sweep: it
+    claims a free target and retires position zero, which must be claimed by
+    then. So a state's popcount (the sites left of the cut sent to the right
+    of it) never changes, and the matrix splits into one sector of C(K, k)
+    states for each popcount k; together their spectra are the whole
+    spectrum. Each sector renumbers its states by rank and lists its entries
+    by increasing source state, so every row sums in column order."""
     if f.dim != 1:
         raise ValueError("transfer matrices need dimension one")
     if f.is_zero():
@@ -233,24 +200,29 @@ def transfer_matrix(f: GroupRingElement) -> TransferMatrix:
             f"transfer span {K} exceeds the {_TRANSFER_MAX_SPAN} limit",
             1 << K, 1 << _TRANSFER_MAX_SPAN,
         )
-    n = 1 << K
-    states = np.arange(n)
-    src, dst, weight = [], [], []
-    for a, c in shifted.items():
-        # the target a must be free (a = K always is), and a step that does
-        # not claim position zero needs it claimed already
-        allowed = (states >> a) & 1 == 0
-        if a:
-            allowed &= states & 1 == 1
-        s = states[allowed]
-        src.append(s)
-        dst.append((s | 1 << a) >> 1)
-        weight.append(np.full(len(s), float(c)))
-    # by increasing source state, so every row sums in column order
-    src = np.concatenate(src)
-    order = np.argsort(src, kind="stable")
-    return TransferMatrix(K, Block(n, src[order], np.concatenate(dst)[order],
-                                   np.concatenate(weight)[order]))
+    states = np.arange(1 << K)
+    # one sweep row over every state: choice a claims target a, and position
+    # zero (need) is claimed once the step is done; each key keeps a copy of
+    # its source state above bit K
+    choices = [(1 << a, 1 << a, float(c)) for a, c in shifted.items()]
+    kk, weight = _candidates(states, np.ones(states.size), states << K + 1 | states,
+                             choices, 1)
+    src, dst = kk >> K + 1, (kk & (2 << K) - 1) >> 1
+    pop = np.zeros_like(states)
+    for i in range(K):
+        pop += (states >> i) & 1
+    sector = pop[src]
+    if np.any(pop[dst] != sector):
+        raise ArithmeticError("transfer matrix has entries between popcount sectors")
+    sizes = np.bincount(pop)
+    rank = np.empty_like(states)
+    rank[np.argsort(pop, kind="stable")] = states - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # stable, so entries of one source state keep the order of the choices
+    order = np.argsort(sector << K | src, kind="stable")
+    src, dst, weight = rank[src[order]], rank[dst[order]], weight[order]
+    ends = np.cumsum(np.bincount(sector, minlength=K + 1)).tolist()
+    return tuple(Block(int(n), src[i:j], dst[i:j], weight[i:j])
+                 for n, i, j in zip(sizes, [0] + ends, ends))
 
 
 _WARM_UP = 32  # steps each sector runs before the likely top one is chosen
@@ -315,9 +287,9 @@ class _SectorSolve:
             self.bracket[1] * (1 + _BOUND_MARGIN) < 1 + rho
 
 
-def _solve_sectors(T: TransferMatrix, tol: float,
+def _solve_sectors(sectors: tuple[Block, ...], tol: float,
                    max_iter: int) -> list[_SectorSolve]:
-    """Solve every popcount sector of T, the likely top one first.
+    """Solve every popcount sector, the likely top one first.
 
     Each sector warms up for _WARM_UP steps; the one with the largest
     estimate then converges first. Every other sector runs until it
@@ -330,8 +302,8 @@ def _solve_sectors(T: TransferMatrix, tol: float,
     states, dense eigenvalues check an uncertified lam to 1e-9 and give the
     value of a sector that neither converged nor was pruned; above, such a
     sector raises ArithmeticError, as does every failed check."""
-    dense_ok = T.size <= 1 << 10
-    solves = [_SectorSolve(B) for B in T.sectors()]
+    dense_ok = sum(B.size for B in sectors) <= 1 << 10
+    solves = [_SectorSolve(B) for B in sectors]
     for s in solves:
         s.run(min(_WARM_UP, max_iter), tol)
     solves.sort(key=lambda s: s.lam, reverse=True)
@@ -366,22 +338,21 @@ def _solve_sectors(T: TransferMatrix, tol: float,
     return solves
 
 
-def _spectral_radius(T: TransferMatrix, tol: float = 1e-13,
+def _spectral_radius(sectors: tuple[Block, ...], tol: float = 1e-13,
                      max_iter: int = 500000) -> float:
-    """Largest spectral radius over the popcount sectors of T."""
-    return max((s.value for s in _solve_sectors(T, tol, max_iter)
+    """Largest spectral radius over the popcount sectors."""
+    return max((s.value for s in _solve_sectors(sectors, tol, max_iter)
                 if s.value is not None), default=0.0)
 
 
-def transfer_pressure(f: GroupRingElement | TransferMatrix) -> float:
+def transfer_pressure(f: GroupRingElement) -> float:
     """Exact pressure over Z: log spectral radius of the transfer matrix.
 
-    Takes the weight itself or a TransferMatrix, solved as it is. The shift
-    I of the power iteration on I + B mixes periodic chains only while B's
-    weights are not far above 1, so a weight f = 2^k g from f.unit_scale()
-    is solved as g, and k log 2 is added."""
-    g, k = (f, 0) if isinstance(f, TransferMatrix) else f.unit_scale()
-    rho = _spectral_radius(g if isinstance(g, TransferMatrix) else transfer_matrix(g))
+    The shift I of the power iteration on I + B mixes periodic chains only
+    while B's weights are not far above 1, so a weight f = 2^k g from
+    f.unit_scale() is solved as g, and k log 2 is added."""
+    g, k = f.unit_scale()
+    rho = _spectral_radius(transfer_matrix(g))
     if rho <= 0:
         return float("-inf")
     return math.log(rho) + k * math.log(2)

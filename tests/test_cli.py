@@ -12,10 +12,11 @@ from pathlib import Path
 import oracles
 import pytest
 
+import latperm.cli as cli
 import latperm.entropy as entropy
 from latperm.cli import RunConfig, build_parser, main, parse_tori, parse_windows
 from latperm.fkdet import QuadratureConfig
-from latperm.groupring import GroupRingElement, Window
+from latperm.groupring import CapacityError, GroupRingElement, Window
 from latperm.patterns import DEFAULT_BUDGET
 from latperm.permanent import window_permanent
 
@@ -718,6 +719,52 @@ class TestVerify:
         assert lines[-1].startswith("VERIFY PASSED")
         assert sum(1 for line in lines if line.startswith("PASS ")) == 8
         assert not any(line.startswith("FAIL ") for line in lines)
+
+    def test_capacity_error_keeps_partial_output(self, capsys):
+        # the first two checks fit in 50 nodes; the third does not
+        code, out, err = run(capsys, ["verify", "--budget", "50"])
+        assert (code, err) == (3, "")
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS golden-transfer-vs-mahler", "PASS zero-entropy-family",
+            "CAPACITY det-identity-and-per-ge-det"]
+        assert lines[-1].endswith("pattern enumeration exceeded 50 nodes")
+
+    def test_capacity_error_after_a_failure_exits_1(self, capsys, monkeypatch):
+        def fails(rng, budget):
+            return False, "forced"
+
+        def runs_out(rng, budget):
+            raise CapacityError("out of nodes", budget + 1, budget)
+
+        monkeypatch.setattr(cli, "_VERIFY_CHECKS",
+                            (("first", fails), ("second", runs_out), ("third", fails)))
+        code, out, _ = run(capsys, ["verify"])
+        assert code == 1
+        assert out == "FAIL first: forced\nCAPACITY second: out of nodes\n"
+
+
+def _readme_flag_table():
+    """{subcommand: flags} from README's | subcommand | flags | table, an
+    --input/--inline/--dim cell split into its three flags."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| subcommand | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    out = {}
+    for row in table.splitlines():
+        names, flags = row.strip("|").split("|")
+        cells = {f for cell in re.findall(r"`([^`]+)`", flags) for f in cell.split("/")}
+        for name in re.findall(r"`([^`]+)`", names):
+            out[name] = cells
+    return out
+
+
+def test_readme_flag_table_matches_parser():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    parsed = {name: {a.option_strings[-1] if a.option_strings else a.dest
+                     for a in sp._actions if not isinstance(a, argparse._HelpAction)}
+              for name, sp in sub.choices.items()}
+    assert _readme_flag_table() == parsed
 
 
 TWO_POINT_WEIGHT_2 = '{"dim":1,"terms":[{"exp":[0],"coef":2},{"exp":[1],"coef":2}]}'

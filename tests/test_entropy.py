@@ -40,6 +40,25 @@ def indicator(*offsets):
     return GroupRingElement.indicator(Window.of([(a,) for a in offsets]))
 
 
+def _sector_states(K):
+    """The states 0..2^K-1 of each popcount 0..K, in increasing order."""
+    states = np.arange(1 << K)
+    pop = np.array([bin(s).count("1") for s in states])
+    return [states[pop == k] for k in range(K + 1)]
+
+
+def _dense(sectors):
+    """The whole 2^K-state matrix with each sector's dense block on the
+    states of its popcount and zeros between sectors; it equals a dense
+    oracle exactly when every sector equals the oracle restricted to its
+    states and the oracle has no entry between sectors."""
+    K = len(sectors) - 1
+    D = np.zeros((1 << K, 1 << K))
+    for idx, B in zip(_sector_states(K), sectors):
+        D[np.ix_(idx, idx)] = B.dense()
+    return D
+
+
 _TRINOMIALS = [{0: 1, K - 1: 1, K: 1} for K in range(2, 11)]
 
 
@@ -83,24 +102,24 @@ class TestWindowSchedule:
 class TestTransferMatrix:
     def test_two_point_support_is_identity(self):
         T = transfer_matrix(indicator(0, 1))
-        assert T.span == 1
-        assert np.array_equal(T.dense(), np.eye(2))
+        assert len(T) == 2  # span 1: popcounts 0 and 1
+        assert np.array_equal(_dense(T), np.eye(2))
 
     def test_point_mass_single_state(self):
         T = transfer_matrix(GroupRingElement(1, {(3,): 2.0}))
-        assert T.span == 0
-        assert T.dense().tolist() == [[2.0]]
+        assert len(T) == 1  # span 0
+        assert _dense(T).tolist() == [[2.0]]
 
     def test_indicator_matrix_is_zero_one(self):
         T = transfer_matrix(indicator(0, 1, 2, 3))
-        D = T.dense()
+        D = _dense(T)
         assert set(np.unique(D)) <= {0.0, 1.0}
 
     def test_translation_gives_identical_matrix(self):
         f = indicator(0, 1, 2)
         g = f.translate((7,))
-        assert np.array_equal(transfer_matrix(f).dense(),
-                              transfer_matrix(g).dense())
+        assert np.array_equal(_dense(transfer_matrix(f)),
+                              _dense(transfer_matrix(g)))
 
     def test_rejects_signed_and_zero_and_2d(self):
         with pytest.raises(ValueError):
@@ -122,38 +141,53 @@ class TestTransferSectors:
                         {0: 2, 1: 1, 3: 3, 4: 1}, {0: 1, 6: 2, 7: 1}):
             f = GroupRingElement(1, {(a + 3,): c for a, c in weights.items()})
             T = transfer_matrix(f)
-            assert isinstance(T.matrix, entropy.Block)
-            assert T.matrix.size == T.size
-            assert np.array_equal(T.dense(),
-                                  oracles.claimed_positions_transfer(weights))
+            assert all(isinstance(B, entropy.Block) for B in T)
+            K = max(weights)
+            assert sum(B.size for B in T) == 1 << K
+            D = oracles.claimed_positions_transfer(weights)
+            for idx, B in zip(_sector_states(K), T):
+                assert np.array_equal(B.dense(), D[np.ix_(idx, idx)])
+            assert np.array_equal(_dense(T), D)
 
     def test_sector_sizes_are_binomial(self):
-        T = transfer_matrix(indicator(0, 2, 3, 7))
-        sectors = T.sectors()
+        sectors = transfer_matrix(indicator(0, 2, 3, 7))
         assert [B.size for B in sectors] == [math.comb(7, k) for k in range(8)]
-        assert sum(len(B.weight) for B in sectors) == len(T.matrix.weight)
-        assert sum(B.weight.sum() for B in sectors) == T.matrix.weight.sum()
+        # one entry per admissible (state, displacement) pair, as in the oracle
+        D = oracles.claimed_positions_transfer({0: 1, 2: 1, 3: 1, 7: 1})
+        assert sum(len(B.weight) for B in sectors) == np.count_nonzero(D)
+        assert sum(B.weight.sum() for B in sectors) == D.sum()
         # each entry stays inside its sector's rank range
         for B in sectors:
             assert B.src.max() < B.size and B.dst.max() < B.size
 
-    def test_entry_between_sectors_raises(self):
-        one = np.array([0])
-        T = entropy.TransferMatrix(2, entropy.Block(4, one, one + 1, np.ones(1)))
+    def test_entry_between_sectors_raises(self, monkeypatch):
+        # flipping bit 1 of a key flips bit 0 of its destination state, so
+        # the entry leaves its source's popcount sector
+        candidates = entropy._candidates
+
+        def leaky(*args):
+            kk, vv = candidates(*args)
+            kk[0] ^= 2
+            return kk, vv
+
+        monkeypatch.setattr(entropy, "_candidates", leaky)
         with pytest.raises(ArithmeticError, match="between popcount sectors"):
-            T.sectors()
+            transfer_matrix(indicator(0, 1, 2))
 
     def test_block_product_matches_dense(self):
-        T = transfer_matrix(GroupRingElement(1, {(0,): 2, (1,): 0.5, (4,): 3}))
-        x = np.linspace(0.5, 2.0, T.size)
-        assert np.allclose(T.matrix @ x, T.dense() @ x, rtol=1e-15, atol=0)
-        for B in T.sectors():
+        weights = {0: 2, 1: 0.5, 4: 3}
+        T = transfer_matrix(GroupRingElement(1, {(a,): c for a, c in weights.items()}))
+        D = oracles.claimed_positions_transfer(weights)
+        x = np.linspace(0.5, 2.0, 1 << 4)
+        for idx, B in zip(_sector_states(4), T):
+            assert np.allclose(B @ x[idx], D[np.ix_(idx, idx)] @ x[idx],
+                               rtol=1e-15, atol=0)
             y = np.linspace(1.0, 3.0, B.size)
             assert np.allclose(B @ y, B.dense() @ y, rtol=1e-15, atol=0)
 
     def test_non_convergence_raises(self):
         T = transfer_matrix(indicator(0, 10, 11))
-        assert T.size > 1 << 10
+        assert sum(B.size for B in T) > 1 << 10
         with pytest.raises(ArithmeticError, match="converge"):
             entropy._spectral_radius(T, max_iter=3)
 
@@ -192,7 +226,7 @@ class TestTransferSectors:
     ])
     def test_pruned_sectors_lie_under_their_bracket(self, weights):
         T = transfer_matrix(GroupRingElement(1, {(a,): c for a, c in weights.items()}))
-        assert T.size <= 1 << 10
+        assert sum(B.size for B in T) <= 1 << 10
         solves = entropy._solve_sectors(T, 1e-13, 500000)
         pruned = [s for s in solves if s.pruned]
         assert pruned
@@ -224,7 +258,7 @@ class TestTransferSectors:
         # inside each certified bracket and under each pruned sector's hi,
         # both widened by the margin
         T = transfer_matrix(GroupRingElement(1, {(a,): c for a, c in weights.items()}))
-        assert T.size <= 1 << 10
+        assert sum(B.size for B in T) <= 1 << 10
         margin = entropy._BOUND_MARGIN
         for s in entropy._solve_sectors(T, 1e-13, 500000):
             dense = oracles.dense_spectral_radius(s.B.dense())
@@ -319,16 +353,17 @@ class TestDenseFallback:
     def test_wide_bracket_takes_the_dense_check(self, eigvals_calls):
         # the top sector's Perron vector has near-zero entries, so the
         # bracket of its converged iterate is far too wide to certify it
-        T = transfer_matrix(GroupRingElement(1, {(0,): 1, (3,): 4, (6,): 3}))
+        f = GroupRingElement(1, {(0,): 1, (3,): 4, (6,): 3})
+        T = transfer_matrix(f)
         solves = entropy._solve_sectors(T, 1e-13, 500000)
         top = max(solves, key=lambda s: s.value or 0.0)
         assert top.converged and not top.certified
         lo, hi = top.bracket
         assert hi - lo > 0.1
         assert (top.B.size, top.B.size) in eigvals_calls
-        dense = oracles.dense_spectral_radius(T.dense())
+        dense = oracles.dense_spectral_radius(_dense(T))
         assert abs(top.value - dense) <= 1e-9 * dense
-        assert abs(transfer_pressure(T) - math.log(dense)) <= 1e-9
+        assert abs(transfer_pressure(f) - math.log(dense)) <= 1e-9
 
 
 @settings(deadline=None, max_examples=40)
@@ -337,10 +372,12 @@ class TestDenseFallback:
 def test_sector_radius_matches_dense_spectrum(weights):
     f = GroupRingElement(1, {(a,): c for a, c in weights.items()})
     T = transfer_matrix(f)
-    D = T.dense()
-    pop = np.array([bin(s).count("1") for s in range(T.size)])
+    lo = min(weights)
+    D = oracles.claimed_positions_transfer({a - lo: c for a, c in weights.items()})
+    pop = np.array([bin(s).count("1") for s in range(len(D))])
     rows, cols = np.nonzero(D)
     assert np.array_equal(pop[rows], pop[cols])
+    assert np.array_equal(_dense(T), D)
     rho = oracles.dense_spectral_radius(D)
     assert abs(entropy._spectral_radius(T) - rho) <= 1e-9 * max(1.0, rho)
 
@@ -364,7 +401,7 @@ def _spanned_weights(draw):
 def test_pruned_radius_is_bit_identical_to_unpruned(weights):
     T = transfer_matrix(GroupRingElement(1, {(a,): c for a, c in weights.items()}))
     got = entropy._spectral_radius(T)
-    assert got.hex() == oracles.unpruned_spectral_radius(T.sectors()).hex()
+    assert got.hex() == oracles.unpruned_spectral_radius(T).hex()
 
 
 class TestTransferPressure:
@@ -422,8 +459,8 @@ class TestTransferPressure:
 
     @pytest.mark.parametrize("weights", _TRINOMIALS)
     def test_unit_weights_solve_unscaled(self, weights):
-        T = transfer_matrix(GroupRingElement(1, {(a,): c for a, c in weights.items()}))
-        assert transfer_pressure(T) == math.log(entropy._spectral_radius(T))
+        f = GroupRingElement(1, {(a,): c for a, c in weights.items()})
+        assert transfer_pressure(f) == math.log(entropy._spectral_radius(transfer_matrix(f)))
 
     def test_trace_reproduces_torus_counts(self):
         f = indicator(0, 1, 2)
