@@ -25,11 +25,13 @@ from .entropy import (
 )
 
 _EPS_SWEEP = (1e-8, 1e-10, 1e-12)
-# a level holds 8 bytes per cell, so the cap implies about 128 MB plus the blocks
+# bounds the cells, and so the time, of a level; memory no longer grows with
+# the grid. The 4096^2 finest level of `mahler --grid 1024` takes about 1 s
 _GRID_CELL_CAP = 1 << 24
-# cells per block of rows in _torus_abs, 1 MB of complex; a block is at least
-# one slab of grid^(d-1) cells, so for d >= 4 it can be larger
-_BLOCK_CELLS = 1 << 16
+# cells per leaf of a level's pairwise sum: a worker's leaf buffers take 40
+# bytes a cell. numpy's add-reduce splits no range of 128 cells or fewer, so
+# the cap must be at least 128
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -66,53 +68,106 @@ class MahlerResult:
     eps_spread: float
 
 
-def _torus_abs(f: GroupRingElement, grid: int, threads: int = 1) -> np.ndarray:
-    """|f| evaluated on the shifted midpoint grid ((k+1/2)/grid per axis).
+def _pairwise(lo: int, hi: int, leaf):
+    """leaf(lo, hi) over the leaves of cells [lo, hi), added up the tree.
+
+    The split is numpy's pairwise summation of a contiguous array: a range of
+    n > _BLOCK_CELLS cells splits at n2 = n//2 - (n//2) % 8. np.add.reduce
+    of a leaf, from 0.0, makes the same split inside it, so the tree sum of
+    the leaf sums is bit-identical to the add-reduce of the whole range."""
+    n = hi - lo
+    if n <= _BLOCK_CELLS:
+        return leaf(lo, hi)
+    mid = lo + n // 2 - n // 2 % 8
+    return _pairwise(lo, mid, leaf) + _pairwise(mid, hi, leaf)
+
+
+def _fill_abs(terms, d: int, grid: int, lo: int, hi: int, bufs) -> np.ndarray:
+    """|f| on cells [lo, hi) of the shifted midpoint grid ((k+1/2)/grid per
+    axis) in C order, written to the float buffer of bufs = (complex,
+    complex, float), each of at least hi - lo cells.
 
     Each term is c exp(2 pi i phase), with the phase summed over only the
-    axes the term moves along and broadcast over the rest. A term that moves
-    along one axis is thus a 1-D character, with no exp per cell. Adding a
-    zero exponent's phase is exact, so every cell is bit-identical to exp of
-    the phase summed over all axes. A product of per-axis characters would
-    differ in the last bit, which moves a level by an ulp and the error
-    estimate, a difference of levels, by up to 2.5e-10 relative. The result
-    is filled in blocks of whole first-axis slabs, at least one per worker
-    and about _BLOCK_CELLS cells where a slab is smaller; no complex array
-    spans the grid, and no cell depends on the split."""
-    d = f.dim
-    # the first axis is made per block, so in 1-D only the result spans the grid
-    theta = (np.arange(grid) + 0.5) / grid if d > 1 else None
-    terms = sorted(f.terms.items())
-    out = np.empty((grid,) * d)
-
-    def along(axis: int, x: np.ndarray) -> np.ndarray:
-        return x.reshape((1,) * axis + (-1,) + (1,) * (d - 1 - axis))
-
-    def fill(rows: slice) -> None:
-        axes = [(np.arange(rows.start, rows.stop) + 0.5) / grid] + [theta] * (d - 1)
-        vals = np.zeros(out[rows].shape, dtype=complex)
+    axes the term moves along, in axis order, and broadcast over the rest. A
+    term that moves along one axis is thus a 1-D character, with no exp per
+    cell. Adding a zero exponent's phase is exact, so every cell is
+    bit-identical to exp of the phase summed over all axes. A product of
+    per-axis characters would differ in the last bit, which moves a level by
+    an ulp and the error estimate, a difference of levels, by up to 2.5e-10
+    relative. The range is cut into at most three rectangles of rows of the
+    last axis: a partial first row, whole rows, a partial last row."""
+    vals, zbuf, fbuf = bufs
+    n = hi - lo
+    vals[:n] = 0
+    # rectangles (first row, rows, first column, column stop), in order
+    (q0, c0), (q1, c1) = divmod(lo, grid), divmod(hi, grid)
+    top = q0 + (c0 > 0)
+    rects = [(q0, 1, c0, c1)] if q0 == q1 else [
+        r for r in [(q0, top - q0, c0, grid), (top, q1 - top, 0, grid), (q1, 1, 0, c1)]
+        if r[1] and r[3] > r[2]]
+    at = 0
+    for q, rows, c0, c1 in rects:
+        cols = c1 - c0
+        out = vals[at:at + rows * cols].reshape(rows, cols)
+        at += rows * cols
+        # the first d - 1 axes vary along the rows, the last along the columns
+        row = q + np.arange(rows)
+        axes = [((row // grid ** (d - 2 - a) % grid + 0.5) / grid)[:, None]
+                for a in range(d - 1)] + [(np.arange(c0, c1) + 0.5) / grid]
         for p, c in terms:
-            # in place, to hold one term at a time; 0-d for the constant term
-            z = np.asarray(2j * np.pi * sum(along(a, p[a] * axes[a])
-                                            for a in range(d) if p[a]))
+            moving = [a for a in range(d) if p[a]]
+            if p[-1]:
+                # the phase spans the columns: summed into the buffers
+                shape = (rows, cols) if len(moving) > 1 else (cols,)
+                phase = fbuf[:math.prod(shape)].reshape(shape)
+                np.multiply(p[-1], axes[-1], out=phase)
+                # a + b == b + a in floats, so this is the phase in axis order
+                phase += sum(p[a] * axes[a] for a in moving[:-1])
+                z = zbuf[:phase.size].reshape(shape)
+                np.multiply(2j * np.pi, phase, out=z)
+            else:
+                # 0-d for the constant term
+                z = np.asarray(2j * np.pi * sum(p[a] * axes[a] for a in moving))
             np.exp(z, out=z)
             z *= c
-            vals += z
-        np.abs(vals, out=out[rows])
+            out += z
+    return np.abs(vals[:n], out=fbuf[:n])
+
+
+def _level_sums(f: GroupRingElement, grid: int, eps_levels, threads: int = 1):
+    """Sums over the midpoint grid of log max(|f|, eps), one per eps in the
+    ascending eps_levels, each bit-identical to the add-reduce of a whole
+    level array. Each leaf of _pairwise is filled by _fill_abs, floored at
+    the smallest eps, logged and floored at each eps in turn, in place, as
+    log is monotone and max(max(x, a), b) = max(x, b) for a <= b. Workers
+    take every workers-th leaf, each with its own buffers, and the leaf sums
+    are added in tree order, so no sum depends on the thread count."""
+    terms = sorted(f.terms.items())
+    floors = [np.log(eps) for eps in eps_levels]
+    leaves = _pairwise(0, grid ** f.dim, lambda lo, hi: [(lo, hi)])
+
+    def run(share):
+        size = max(hi - lo for lo, hi in share)
+        bufs = (np.empty(size, complex), np.empty(size, complex), np.empty(size))
+        sums = []
+        for lo, hi in share:
+            logs = _fill_abs(terms, f.dim, grid, lo, hi, bufs)
+            np.maximum(logs, eps_levels[0], out=logs)
+            np.log(logs, out=logs)
+            sums.append([float(np.add.reduce(np.maximum(logs, fl, out=logs),
+                                             initial=0.0)) for fl in floors])
+        return sums
 
     # no more workers than cores: a huge --threads must not start a thread per
-    # row (os.cpu_count reads a file, so one thread skips it)
-    workers = min(threads, os.cpu_count() or 1) if threads > 1 else 1
-    parallel = workers > 1 and grid >= 2 * workers
-    n = max(min(grid, -(-grid ** d // _BLOCK_CELLS)), workers if parallel else 1)
-    blocks = [slice(grid * i // n, grid * (i + 1) // n) for i in range(n)]
-    if parallel:
+    # leaf (os.cpu_count reads a file, so one thread skips it)
+    workers = min(threads, os.cpu_count() or 1, len(leaves)) if threads > 1 else 1
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
+            shares = list(pool.map(run, [leaves[i::workers] for i in range(workers)]))
+        sums = iter([shares[i % workers][i // workers] for i in range(len(leaves))])
     else:
-        for rows in blocks:
-            fill(rows)
-    return out
+        sums = iter(run(leaves))
+    return _pairwise(0, grid ** f.dim, lambda lo, hi: np.array(next(sums)))
 
 
 def mahler_measure(
@@ -126,7 +181,10 @@ def mahler_measure(
     |f| at eps; the returned error estimate adds the spread over a fixed eps
     sweep to the last refinement difference, and Richardson-style
     extrapolation is applied when the differences shrink geometrically.
-    Every grid level is checked against the cell cap before any runs.
+    Every grid level is checked against the cell cap before any runs. A
+    level is summed leaf by leaf in numpy's pairwise order (_level_sums), so
+    no array spans the grid and each level is bit-identical to the mean of
+    a whole level array; memory stays a few MB whatever the grid.
     When max |c| < 1, where the eps floor must be relative, or sum |c| >=
     2^1000, where the terms could sum to inf, the levels are taken on g,
     f = 2^k g from f.unit_scale(), and k log 2 goes back onto each level.
@@ -145,15 +203,8 @@ def mahler_measure(
     eps_levels = sorted(set(_EPS_SWEEP) | {cfg.eps})
     values = {eps: [] for eps in eps_levels}
     for g in grids:
-        # log is monotone, so each eps floor is a floor on one pass of logs,
-        # and in place, as max(max(x, a), b) = max(x, b) for ascending eps
-        logs = _torus_abs(f, g, threads)
-        np.maximum(logs, eps_levels[0], out=logs)
-        np.log(logs, out=logs)
-        for eps in eps_levels:
-            np.maximum(logs, np.log(eps), out=logs)
-            values[eps].append(float(logs.mean()) + k * math.log(2))
-        del logs  # before the next level is filled
+        for eps, total in zip(eps_levels, _level_sums(f, g, eps_levels, threads)):
+            values[eps].append(float(total) / g ** f.dim + k * math.log(2))
     main = values[cfg.eps]
     diffs = [b - a for a, b in zip(main, main[1:])]
     converged = len(diffs) < 2 or abs(diffs[-1]) <= abs(diffs[-2]) + 1e-15

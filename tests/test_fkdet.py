@@ -2,6 +2,7 @@
 finite inequality det <= iper^2, example families, and the constant-sign
 facts of signed pattern terms."""
 
+import gc
 import math
 import tracemalloc
 
@@ -119,10 +120,13 @@ class TestMahlerMeasure:
 
         monkeypatch.setattr(fkdet, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(fkdet.os, "cpu_count", lambda: cores)
+        # 128^2 cells make 16 leaves of 1024, more than the cores
+        monkeypatch.setattr(fkdet, "_BLOCK_CELLS", 1024)
         f = GroupRingElement(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): -1})
-        got = fkdet._torus_abs(f, 128, threads=64)
+        eps_levels = sorted(fkdet._EPS_SWEEP)
+        got = fkdet._level_sums(f, 128, eps_levels, threads=64)
         assert started == pools
-        assert np.array_equal(got, fkdet._torus_abs(f, 128))
+        assert np.array_equal(got, fkdet._level_sums(f, 128, eps_levels))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -138,13 +142,13 @@ class TestMahlerMeasure:
         def level(*args, **kwargs):
             raise AssertionError("a quadrature level ran")
 
-        monkeypatch.setattr(fkdet, "_torus_abs", level)
+        monkeypatch.setattr(fkdet, "_level_sums", level)
         f = GroupRingElement(4, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1,
                                  (0, 1, 0, 0): 1, (0, 0, 1, 1): 1})
         with pytest.raises(CapacityError, match=r"grid 80\^4 exceeds the cell cap"):
             mahler_measure(f, QuadratureConfig(grid=40))
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("span", [1, 2])
     @pytest.mark.parametrize("terms,grid", [
         ({(0,): 1, (1,): 1, (2,): -1}, 64),
         ({(-3,): 0.5, (0,): -2, (7,): 1.25}, 64),
@@ -153,12 +157,20 @@ class TestMahlerMeasure:
         ({(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}, 16),
         ({(3, -2, 1): 1.5, (0, 0, 0): -1, (1, 1, 1): 0.25}, 16),
     ])
-    def test_torus_abs_matches_phase_sum(self, terms, grid, threads):
+    def test_torus_abs_matches_phase_sum(self, terms, grid, span):
         # a zero exponent adds an exact 0 to the phase, so skipping its axis
-        # leaves every cell bit-identical
+        # leaves every cell bit-identical. Ranges of span/7 of the cells plus
+        # 3 start and end mid-row; in 2-D and 3-D they hold a partial first
+        # row, whole rows and a partial last row
         f = GroupRingElement(len(next(iter(terms))), terms)
-        got = fkdet._torus_abs(f, grid, threads=threads)
-        assert np.array_equal(got, oracles.direct_torus_abs(terms, f.dim, grid))
+        n = grid ** f.dim
+        step = span * n // 7 + 3
+        bufs = (np.empty(step, complex), np.empty(step, complex), np.empty(step))
+        got = np.concatenate([
+            fkdet._fill_abs(sorted(f.terms.items()), f.dim, grid, lo,
+                            min(lo + step, n), bufs).copy()
+            for lo in range(0, n, step)])
+        assert np.array_equal(got, oracles.direct_torus_abs(terms, f.dim, grid).ravel())
 
     @pytest.mark.parametrize("terms", [
         {(0,): 1, (1,): 1},
@@ -207,6 +219,11 @@ class TestMahlerMeasure:
         # max |c| below 1: the terms are scaled by 2^10, so the eps floor is
         # relative to the element's size
         ({(1, 0): 1e-3, (-1, 0): 1e-3, (0, 1): 1e-3, (0, -1): 1e-3}, 64, 1e-10),
+        # 1-D leaves inside the one row, of 17496 and 17504 cells
+        ({(-3,): 0.5, (0,): -2, (7,): 1.25}, 70000, 1e-10),
+        # 48^4 cells: leaves cut rows, and terms move along inner axes
+        ({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1, (0, 1, 1, 0): 1, (0, 0, 1, 1): -1,
+          (1, -1, 0, 2): 0.5}, 12, 1e-10),
     ])
     def test_streamed_levels_bit_identical_to_whole_grid(self, monkeypatch, terms,
                                                          grid, eps, threads):
@@ -231,6 +248,55 @@ class TestMahlerMeasure:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 1024 ** 2 + (8 << 20)
+
+    @pytest.mark.parametrize("cap", [1024, 4096])
+    @pytest.mark.parametrize("terms,grid", [
+        ({(0,): 1, (1,): 1, (2,): -1}, 1000),
+        ({(0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): -2}, 300),
+        ({(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}, 24),
+    ])
+    def test_leaf_cap_keeps_every_field(self, monkeypatch, cap, terms, grid):
+        # smaller leaves make a deeper split tree, with leaves shorter than a
+        # row of 1200 cells; the tree sum still equals numpy's whole-level sum
+        monkeypatch.setattr(fkdet, "_BLOCK_CELLS", cap)
+        monkeypatch.setattr(fkdet.os, "cpu_count", lambda: 2)
+        f = GroupRingElement(len(next(iter(terms))), terms)
+        cfg = QuadratureConfig(grid=grid)
+        r = mahler_measure(f, cfg, threads=2)
+        want = oracles.direct_mahler(terms, f.dim, grid, cfg.refinements, cfg.eps)
+        assert (r.value, r.error_estimate, r.converged, r.levels, r.eps_spread) == want
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("grid", [256, 512])
+    def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch, grid, threads):
+        # each worker holds 40 bytes a leaf cell; a level array of 8 bytes a
+        # cell would take 8 MB at grid 256 and 32 MB at grid 512
+        monkeypatch.setattr(fkdet.os, "cpu_count", lambda: 2)
+        f = GroupRingElement(2, {(0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): -2})
+        tracemalloc.start()
+        try:
+            mahler_measure(f, QuadratureConfig(grid=grid), threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_memory_waits_for_the_cyclic_gc(self, monkeypatch, threads):
+        # a reference cycle through the leaf buffers would hold them until a
+        # collection
+        monkeypatch.setattr(fkdet.os, "cpu_count", lambda: 2)
+        f = GroupRingElement(2, {(0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): -2})
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mahler_measure(f, QuadratureConfig(grid=256), threads=threads)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert after - before <= 0.1 * 2 ** 20
 
 
 class TestMahlerRoots:
