@@ -24,7 +24,7 @@ from .groupring import (
     separated_on_quotient,
 )
 from .patterns import DEFAULT_BUDGET
-from .permanent import _candidates, torus_permanent, window_permanent
+from .permanent import _candidates, torus_permanent, window_permanent, window_permanents
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,32 @@ def upper_estimates(
 ) -> tuple[list[EstimateRow], list[str]]:
     """Normalized log pattern sums per window; every value upper-bounds the
     pressure. Windows whose kernel blows the node budget are skipped and
-    reported, so a partial schedule still yields certified estimates."""
+    reported, so a partial schedule still yields certified estimates.
+
+    When every window's sorted points are a prefix of the largest window's,
+    as the boxes of Z are, each mode sweeps the largest window once and
+    reads every window at its cut (window_permanents). Each window that
+    sweep does not reach within the budget runs alone, so a window is
+    skipped only when it blows the budget by itself."""
+
+    windows = schedule.windows
+    sizes = [len(F) for F in windows]
+    swept = {}  # (size, mode) -> value read at a cut of the largest window
+    if windows and all(F.points == windows[-1].points[:n] for F, n in zip(windows, sizes)):
+        for mode in modes:
+            try:
+                values = window_permanents(f, windows[-1], sizes, mode, budget)
+            except CapacityError as e:
+                values = e.reached
+            swept.update(((n, mode), v) for n, v in zip(sizes, values))
+
+    def run(job):
+        _, F, mode = job
+        value = swept.get((len(F), mode))
+        return value if value is not None else window_permanent(f, F, mode=mode, budget=budget)
 
     jobs = [(label, F, mode) for label, F in schedule for mode in modes]
-    done, skipped = _run_jobs(
-        lambda job: window_permanent(f, job[1], mode=job[2], budget=budget),
-        jobs, lambda job: f"{job[0]}[{job[2]}]")
+    done, skipped = _run_jobs(run, jobs, lambda job: f"{job[0]}[{job[2]}]")
     rows: list[EstimateRow] = []
     for (label, F, mode), v in done:
         name = label if mode == "admissible" else f"{label}-inj"

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +161,9 @@ def _level_sums(f: GroupRingElement, grid: int, eps_levels, threads: int = 1):
     # leaf (os.cpu_count reads a file, so one thread skips it)
     workers = min(threads, os.cpu_count() or 1, len(leaves)) if threads > 1 else 1
     if workers > 1:
+        # imported here, as it loads logging, which serial runs never need
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             shares = list(pool.map(run, [leaves[i::workers] for i in range(workers)]))
         sums = iter([shares[i % workers][i // workers] for i in range(len(leaves))])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -18,12 +19,16 @@ Point = tuple[int, ...]
 
 
 class CapacityError(RuntimeError):
-    """Raised when an enumeration or kernel exceeds its node budget."""
+    """Raised when an enumeration or kernel exceeds its node budget.
 
-    def __init__(self, message: str, nodes: int = 0, budget: int = 0):
+    ``reached`` lists the results a kernel finished before the budget ran
+    out, in the form its docstring names; it is empty for most kernels."""
+
+    def __init__(self, message: str, nodes: int = 0, budget: int = 0, reached=()):
         super().__init__(message)
         self.nodes = nodes
         self.budget = budget
+        self.reached = list(reached)
 
 
 def _as_point(p: Sequence[int]) -> Point:
@@ -45,15 +50,24 @@ def _json_list(value, what: str, ints: bool = False) -> list:
 
 
 def add(p: Point, q: Point) -> Point:
-    return tuple(a + b for a, b in zip(p, q))
+    return tuple(map(operator.add, p, q))
 
 
 def sub(p: Point, q: Point) -> Point:
-    return tuple(a - b for a, b in zip(p, q))
+    return tuple(map(operator.sub, p, q))
 
 
 def neg(p: Point) -> Point:
-    return tuple(-a for a in p)
+    return tuple(map(operator.neg, p))
+
+
+def _exponent(c) -> int:
+    """The k with 2^k <= |c| < 2^(k+1) for c rounded to a float, taken from
+    int.bit_length or math.frexp, never from float() of a big int."""
+    if isinstance(c, float):
+        return math.frexp(c)[1] - 1
+    k = abs(c).bit_length() - 1
+    return k + 1 if k > 0 and abs(c) / (1 << k) == 2.0 else k
 
 
 @dataclass(frozen=True)
@@ -235,13 +249,13 @@ class GroupRingElement:
         """(g, k) with self = 2^k g and 1 <= max |g| < 2, g in floats.
 
         k, the largest binary exponent of a coefficient, is exact from
-        int.bit_length or math.frexp: no sum, no float() of a big int. Each
-        term of g is rounded once (an integer past 2^53 may round up to 2),
-        and one that underflows stays in g's support as 0.0, as window
-        interiors, torus separation and the transfer span read it. The zero
-        element is its own g, with k = 0."""
-        k = max((abs(c).bit_length() - 1 if isinstance(c, int) else math.frexp(c)[1] - 1
-                 for c in self.terms.values()), default=0)
+        int.bit_length or math.frexp: no sum, no float() of a big int. An
+        integer past 2^53 that rounds up to the next power of two takes that
+        power's exponent. Each term of g is rounded once, and one that
+        underflows stays in g's support as 0.0, as window interiors, torus
+        separation and the transfer span read it. The zero element is its
+        own g, with k = 0."""
+        k = max(map(_exponent, self.terms.values()), default=0)
         g = object.__new__(GroupRingElement)  # __init__ would drop the 0.0 terms
         object.__setattr__(g, "dim", self.dim)
         object.__setattr__(g, "terms", {p: c / (1 << k) if isinstance(c, int)

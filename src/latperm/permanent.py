@@ -27,6 +27,7 @@ All kernels honor a node budget and raise CapacityError when they blow it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,33 +158,51 @@ def _shrink(x, exp: int):
     return x, exp
 
 
-def _sweep(rows, required_mask: int, exact: bool, budget: int):
-    """Permanent of the rows that leaves no required target unclaimed, as
-    a pair (value, exp) meaning value * 2^exp; exp is 0 in exact mode.
+def _sweep(rows, required_mask: int, exact: bool, budget: int, cuts) -> list:
+    """Permanents of the rows below each of the ascending ``cuts``, as
+    pairs (value, exp) meaning value * 2^exp; exp is 0 in exact mode. The
+    value at cut c is the permanent of rows[:c] that leaves unclaimed no
+    required target all of whose rows lie below c.
 
     The rows split into the connected components of the site-target graph,
-    and the value is the product of the components' values: a
-    block-diagonal matrix has the permanent of its blocks multiplied. Each
-    component runs the frontier engine in site order with its own required
-    targets, all of them draw on one node budget, and the sweep stops at the
-    first component whose value is 0.
+    and a value is the product of the components' values: a block-diagonal
+    matrix has the permanent of its blocks multiplied. Each component runs
+    the frontier engine once in site order with its own required targets,
+    cut at its number of rows below each cut, and the value at a cut is the
+    product over components of the sum of that snapshot's values. All of
+    them draw on one node budget, and the sweep stops once every value is
+    0. On CapacityError, ``reached`` holds the values of the first cuts,
+    those that every component has reached.
     """
     zero = (0 if exact else 0.0), 0
     parts = _components(rows)
     # the component masks are disjoint, so their sum is their union
     if required_mask & ~sum(mask for _, mask in parts):
-        return zero
-    total = (1 if exact else 1.0), 0
+        return [zero] * len(cuts)
+    totals = [((1 if exact else 1.0), 0)] * len(cuts)
+
+    def fold(snaps):  # multiply each cut's total by its snapshot's sum
+        for i, (_, vals, exp, _) in enumerate(snaps):
+            value, exp = _shrink(int(vals.sum()) if exact else float(vals.sum()), exp)
+            total = totals[i]
+            totals[i] = _shrink(total[0] * value, total[1] + exp) if value and total[0] else zero
+        return totals[:len(snaps)]
+
     nodes = 0
-    for members, mask in parts:
-        snaps, nodes = _frontier([rows[k] for k in members], required_mask & mask,
-                                 exact, budget, nodes, (len(members),))
-        _, vals, exp, _ = snaps[0]
-        value, exp = _shrink(int(vals.sum()) if exact else float(vals.sum()), exp)
-        if value == 0:
-            return zero
-        total = _shrink(total[0] * value, total[1] + exp)
-    return total
+    for i, (members, mask) in enumerate(parts):
+        try:
+            snaps, nodes = _frontier([rows[k] for k in members], required_mask & mask, exact,
+                                     budget, nodes, [bisect_left(members, c) for c in cuts])
+        except CapacityError as e:
+            # the later components start at or past the next one's first row,
+            # so only the cuts up to there have their values
+            ahead = parts[i + 1][0][0] if i + 1 < len(parts) else len(rows)
+            e.reached = fold(e.reached)[:bisect_right(cuts, ahead)]
+            raise
+        fold(snaps)
+        if not any(value for value, _ in totals):
+            break
+    return totals
 
 
 def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int, cuts):
@@ -206,7 +225,7 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int, cu
     ``cuts`` and returns (snapshots, nodes): before each cut, the sorted
     keys, values, exp and {target: key bit} of the live targets, which rows
     on both sides of the cut can claim. At cut len(rows) the one value is
-    the permanent.
+    the permanent. On CapacityError, ``reached`` holds the snapshots taken.
     """
     last = {j: k for k, row in enumerate(rows) for j, _ in row}
     signed = any(w < 0 for row in rows for _, w in row)  # else every value is >= 0
@@ -227,7 +246,7 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int, cu
         if nodes > budget:
             raise CapacityError(
                 f"sweep kernel exceeded {budget} nodes at row {k}/{len(rows)} of a component",
-                nodes, budget,
+                nodes, budget, snaps,
             )
         if exact and vals.dtype != object:
             bound = max(int((np.abs(vals) if signed else vals).sum()), 1) * sum(
@@ -413,28 +432,72 @@ def window_permanent(
     """
     if backend not in ("sweep", "dfs", "ryser"):
         raise ValueError(f"unknown backend {backend!r}")
+    plan = _window_rows(f, F, A, mode, exact)
+    if plan is None:
+        return LogValue.from_linear(1 if len(F) == 0 else 0)
+    rows, required, k, ncols = plan
+    req_mask = sum(1 << j for j in required)
+    if backend == "sweep":
+        return _cut_values(rows, req_mask, k, budget, [len(F)])[0]
+    if backend == "dfs":
+        raw = _dfs_permanent(rows, req_mask, k is None, budget)
+    else:
+        raw = _inclusion_exclusion_permanent(rows, ncols, required, k is None)
+    return _scaled_logvalue(raw, 0, k, len(F))
+
+
+def window_permanents(
+    f: GroupRingElement,
+    F: Window,
+    sizes,
+    mode: str = "admissible",
+    budget: int = DEFAULT_BUDGET,
+) -> list[LogValue]:
+    """window_permanent of f on each window F_n of the first n points of F,
+    n in the ascending ``sizes``, from one sweep of F's sites: F_n's value
+    is read at cut n.
+
+    The sites run in F's order, so F_n's sites are the rows below cut n, and
+    with A the support of f, interior(F_n) is the set of targets of
+    interior(F) whose claimants t - A all lie in F_n: the required targets
+    whose rows all lie below the cut, which is what _sweep checks there.
+    On CapacityError, ``reached`` holds the values of the windows reached.
+    """
+    plan = _window_rows(f, F, None, mode, None)
+    if plan is None:
+        return [LogValue.from_linear(1 if n == 0 else 0) for n in sizes]
+    rows, required, k, _ = plan
+    return _cut_values(rows, sum(1 << j for j in required), k, budget, sizes)
+
+
+def _window_rows(f: GroupRingElement, F: Window, A: Window | None, mode: str,
+                 exact: bool | None):
+    """(rows, required columns, k, columns) of window_permanent on F: the
+    rows of F's sites, the columns of interior(F, A) in admissible mode,
+    k from _weights and the number of targets; None when f is 0 or F empty."""
     if mode not in ("admissible", "injective"):
         raise ValueError("mode must be 'admissible' or 'injective'")
     A = A if A is not None else f.support()
     if f.is_zero() or len(F) == 0:
-        return LogValue.from_linear(1 if len(F) == 0 else 0)
+        return None
     if not f.support().point_set <= A.point_set:
         raise ValueError("support of f must lie inside A")
     weights, k = _weights(f, exact)
-    use_exact = k is None
     index = {t: j for j, t in enumerate(dilate(F, A).points)}
     rows = _rows(F.points, weights, index)
     required = [index[t] for t in interior(F, A).points] if mode == "admissible" else []
-    req_mask = sum(1 << j for j in required)
+    return rows, required, k, len(index)
 
-    exp = 0
-    if backend == "sweep":
-        raw, exp = _sweep(rows, req_mask, use_exact, budget)
-    elif backend == "dfs":
-        raw = _dfs_permanent(rows, req_mask, use_exact, budget)
-    else:
-        raw = _inclusion_exclusion_permanent(rows, len(index), required, use_exact)
-    return _scaled_logvalue(raw, exp, k, len(F))
+
+def _cut_values(rows, req_mask: int, k, budget: int, sizes) -> list[LogValue]:
+    """_sweep's values at the cuts ``sizes`` as the LogValues of windows of
+    those sizes (see _scaled_logvalue), and so is CapacityError.reached."""
+    try:
+        raws = _sweep(rows, req_mask, k is None, budget, sizes)
+    except CapacityError as e:
+        e.reached = [_scaled_logvalue(raw, exp, k, n) for (raw, exp), n in zip(e.reached, sizes)]
+        raise
+    return [_scaled_logvalue(raw, exp, k, n) for (raw, exp), n in zip(raws, sizes)]
 
 
 def _scaled_logvalue(raw, exp, k, nsites) -> LogValue:
@@ -588,7 +651,7 @@ def matrix_permanent(
     rows = [[(j, num(x)) for j, x in enumerate(row) if x] for row in M.tolist()]
     if backend == "ryser":
         return ryser_permanent(rows, range(n), exact)
-    value, exp = _sweep(rows, 0, exact, budget)
+    value, exp = _sweep(rows, 0, exact, budget, [m])[0]
     return math.ldexp(value, exp) if exp else value
 
 

@@ -130,7 +130,7 @@ def full_quotient_permanent(f, quotient, exact=None, budget=10**8):
     weights, k = _weights(f, exact, quotient.reduce)
     sites = quotient.points()
     rows = _rows(sites, weights, {p: j for j, p in enumerate(sites)}, quotient.reduce)
-    raw, exp = _sweep(rows, (1 << len(sites)) - 1, k is None, budget)
+    raw, exp = _sweep(rows, (1 << len(sites)) - 1, k is None, budget, [len(rows)])[0]
     return _scaled_logvalue(raw, exp, k, quotient.size)
 
 

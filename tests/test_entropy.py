@@ -1,12 +1,14 @@
 """Tests for entropy/pressure estimation: window schedules, transfer
 matrices, torus estimates, closed-form bounds, and the combined report."""
 
+import json
 import math
 import os
 import random
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latperm.entropy as entropy
-from latperm.cli import main
+from latperm.cli import _dump, main
 from latperm.entropy import (
     EstimateReport,
+    EstimateRow,
     WindowSchedule,
     default_tori,
     entropy_upper_bound,
@@ -31,6 +34,7 @@ from latperm.entropy import (
 )
 from latperm.fkdet import family_instance, mahler_measure_roots
 from latperm.groupring import CapacityError, GroupRingElement, TorusQuotient, Window
+import latperm.permanent as permanent
 from latperm.permanent import torus_permanent, window_permanent
 
 GOLDEN = math.log((1 + math.sqrt(5)) / 2)
@@ -572,6 +576,142 @@ class TestUpperEstimates:
         rows, skipped = upper_estimates(f, sched, budget=500)
         assert any(r.window == "2x2" for r in rows)
         assert any("6x6" in s for s in skipped)
+
+
+MODES = ("admissible", "injective")
+
+
+def per_window(f, schedule, budget=10**8):
+    """The rows and skip lines of upper_estimates, built from one
+    window_permanent call per window and mode."""
+    rows, skipped = [], []
+    for label, F in schedule:
+        for mode in MODES:
+            try:
+                v = window_permanent(f, F, mode=mode, budget=budget)
+            except CapacityError as e:
+                skipped.append(f"{label}[{mode}]: {e}")
+                continue
+            name = label if mode == "admissible" else f"{label}-inj"
+            rows.append(EstimateRow(name, len(F), v.log, v.normalized(len(F)), "upper"))
+    return rows, skipped
+
+
+def prefixes(points, sizes):
+    """The schedule of the windows of the first n of the sorted points."""
+    points = sorted(points)
+    return WindowSchedule(tuple(Window.of(points[:n]) for n in sizes),
+                          tuple(f"p{n}" for n in sizes))
+
+
+class TestNestedSchedules:
+    """Windows that are prefixes of the largest window's sorted points are
+    read at cuts of one sweep, and must equal their per-window values."""
+
+    @pytest.mark.parametrize("terms", [
+        {(0,): 1, (7,): 1, (8,): 1},  # a spectral-1d trinomial
+        {(0,): 2, (2,): 3},  # two components
+        {(0,): 1, (3,): 2, (6,): 1},  # three components
+        {(-3,): 1, (0,): 2, (2,): 5},  # translated, negative exponents
+        {(-2,): 3, (-1,): 1, (1,): 2, (4,): 1},
+    ])
+    def test_integer_weights_match_exactly(self, terms):
+        f = GroupRingElement(1, terms)
+        schedule = WindowSchedule.boxes(1, range(1, 13))
+        assert upper_estimates(f, schedule) == per_window(f, schedule)
+
+    @pytest.mark.parametrize("terms", [
+        {(0,): 0.3, (7,): 1.7, (8,): 0.45},
+        {(0,): 0.7, (2,): 2.9},
+        {(0,): 1.1, (3,): 0.2, (6,): 3.3},
+        {(-3,): 0.6, (0,): 1.25, (2,): 7.1},
+        {(0,): 1e200, (1,): 3.5e199, (3,): 1e-5},
+    ])
+    def test_float_weights_match_within_1e_14(self, terms):
+        f = GroupRingElement(1, terms)
+        schedule = WindowSchedule.boxes(1, range(1, 13))
+        rows, skipped = upper_estimates(f, schedule)
+        want, _ = per_window(f, schedule)
+        assert not skipped and len(rows) == len(want)
+        for r, w in zip(rows, want):
+            assert (r.window, r.size, r.kind) == (w.window, w.size, w.kind)
+            assert math.isclose(r.log_value, w.log_value, rel_tol=1e-14, abs_tol=1e-14)
+
+    @pytest.mark.parametrize("terms", [{(0,): 1, (3,): 1, (6,): 1}, {(0,): 0.5, (2,): 1.5}])
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_single_window_schedule(self, terms, n):
+        f = GroupRingElement(1, terms)
+        schedule = WindowSchedule.boxes(1, [n])
+        assert upper_estimates(f, schedule) == per_window(f, schedule)
+
+    @pytest.mark.parametrize("terms", [
+        {(0, 0): 1, (1, 0): 1, (0, 1): 1},
+        {(0, 0): 2, (1, 1): 1, (-1, 2): 3},
+    ])
+    def test_two_dimensional_prefixes_match_exactly(self, terms):
+        f = GroupRingElement(2, terms)
+        box = Window.box([0, 0], [3, 4]).points
+        schedule = prefixes(box, [1, 2, 5, 7, 8, 12])
+        assert upper_estimates(f, schedule) == per_window(f, schedule)
+
+    def test_one_frontier_per_component_and_mode(self, monkeypatch):
+        # sites 0..11 with claims s, s + 3, s + 6 split into 3 residue
+        # classes, so 9 windows in 2 modes take 6 frontier runs, not 54
+        calls = []
+        frontier = permanent._frontier
+        monkeypatch.setattr(permanent, "_frontier",
+                            lambda rows, *a: calls.append(len(rows)) or frontier(rows, *a))
+        f = indicator(0, 3, 6)
+        rows, _ = upper_estimates(f, WindowSchedule.boxes(1, range(4, 13)))
+        assert len(rows) == 18
+        assert calls == [4, 4, 4] * 2
+
+    def test_two_dimensional_boxes_run_window_by_window(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("2-D boxes are not prefixes of one another")
+
+        monkeypatch.setattr(entropy, "window_permanents", refuse)
+        f = GroupRingElement.indicator(Window.of([(0, 0), (1, 0), (0, 1)]))
+        schedule = WindowSchedule.boxes(2, [2, 3])
+        assert upper_estimates(f, schedule) == per_window(f, schedule)
+
+
+class TestNestedCapacity:
+    """At this budget the shared sweep of boxes 4..12 stops after box5 in
+    each mode. The windows it did not reach run alone: box6..box9 fit and
+    box10..box12 are skipped, exactly as in a per-window run."""
+
+    F = indicator(0, 3, 6)
+    SCHEDULE = WindowSchedule.boxes(1, range(4, 13))
+    BUDGET = 75
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_shared_sweep_stops_partway(self, mode):
+        with pytest.raises(CapacityError) as info:
+            permanent.window_permanents(self.F, self.SCHEDULE.windows[-1], range(4, 13),
+                                        mode, self.BUDGET)
+        want = [window_permanent(self.F, F, mode=mode) for F in self.SCHEDULE.windows[:2]]
+        assert info.value.reached == want
+        rows, skipped = per_window(self.F, self.SCHEDULE, self.BUDGET)
+        assert [r.window for r in rows[::2]] == [f"box{n}" for n in range(4, 10)]
+        assert len(skipped) == 6
+
+    def test_report_matches_per_window_calls(self):
+        want, skipped = per_window(self.F, self.SCHEDULE, self.BUDGET)
+        report = estimate_report(self.F, self.SCHEDULE, budget=self.BUDGET)
+        assert [r for r in report.rows if r.kind == "upper"] == want
+        assert report.capacity_skipped[:len(skipped)] == tuple(skipped)
+        assert not any(s.startswith("box") for s in report.capacity_skipped[len(skipped):])
+
+    def test_cli_exit_3_with_per_window_rows(self, capsys):
+        want, skipped = per_window(self.F, self.SCHEDULE, self.BUDGET)
+        code = main(["entropy", "--inline", '{"points": [[0], [3], [6]]}',
+                     "--windows", "4..12", "--budget", str(self.BUDGET)])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert [r for r in payload["rows"] if r["kind"] == "upper"] == \
+            json.loads(_dump({"rows": [asdict(r) for r in want]}))["rows"]
+        assert payload["capacity_skipped"][:len(skipped)] == skipped
 
 
 class TestTorusEstimates:

@@ -2,6 +2,7 @@
 finite inequality det <= iper^2, example families, and the constant-sign
 facts of signed pattern terms."""
 
+import concurrent.futures
 import gc
 import math
 import tracemalloc
@@ -118,7 +119,7 @@ class TestMahlerMeasure:
             def map(self, fn, chunks):
                 return map(fn, chunks)
 
-        monkeypatch.setattr(fkdet, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(fkdet.os, "cpu_count", lambda: cores)
         # 128^2 cells make 16 leaves of 1024, more than the cores
         monkeypatch.setattr(fkdet, "_BLOCK_CELLS", 1024)

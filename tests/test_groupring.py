@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latperm.groupring import (
     GroupRingElement,
@@ -131,6 +131,7 @@ class TestElementOps:
     # no term of g is subnormal, so g is f scaled exactly
     @given(st.lists(st.floats(1e-150, 1e150) | st.integers(1, 10 ** 30), min_size=1,
                     max_size=5))
+    @example([2 ** 54 - 1])  # rounds up to 2^54, so k is 54
     def test_unit_scale_round_trip(self, coefs):
         f = elem(1, {(i,): c for i, c in enumerate(coefs)})
         g, k = f.unit_scale()

@@ -285,9 +285,9 @@ class TestComponents:
 
     def test_required_target_outside_every_row_is_zero(self):
         rows = [[(0, 1), (1, 2)], [(1, 1)]]
-        assert _sweep(rows, 0b011, True, 100) == (1, 0)
-        assert _sweep(rows, 0b111, True, 100) == (0, 0)
-        assert _sweep(rows, 0b111, False, 100) == (0.0, 0)
+        assert _sweep(rows, 0b011, True, 100, [len(rows)])[0] == (1, 0)
+        assert _sweep(rows, 0b111, True, 100, [len(rows)])[0] == (0, 0)
+        assert _sweep(rows, 0b111, False, 100, [len(rows)])[0] == (0.0, 0)
 
     def test_components_share_one_node_budget(self):
         # one 3x3 all-ones block takes 21 nodes, two of them 42
@@ -319,9 +319,9 @@ class TestStableKeyBits:
     def test_sweep_matches_dfs_on_sparse_rows(self, inst):
         rows, req = inst
         want = _dfs_permanent(rows, req, True, 10**7)
-        assert _sweep(rows, req, True, 10**7) == (want, 0)
+        assert _sweep(rows, req, True, 10**7, [len(rows)])[0] == (want, 0)
         frows = [[(j, float(w)) for j, w in row] for row in rows]
-        assert math.ldexp(*_sweep(frows, req, False, 10**7)) == \
+        assert math.ldexp(*_sweep(frows, req, False, 10**7, [len(frows)])[0]) == \
             pytest.approx(want, rel=1e-12, abs=1e-9)
 
     @pytest.mark.parametrize("req", [0, 1 << 65 | 1 << 2])
@@ -335,9 +335,10 @@ class TestStableKeyBits:
                 [(j, 1) for j in range(0, 10, 2)]]
         want = _dfs_permanent(rows, req, True, 10**7)
         assert want > 0
-        assert _sweep(rows, req, True, 10**7) == (want, 0)
+        assert _sweep(rows, req, True, 10**7, [len(rows)])[0] == (want, 0)
         frows = [[(j, float(w)) for j, w in row] for row in rows]
-        assert math.ldexp(*_sweep(frows, req, False, 10**7)) == pytest.approx(want, rel=1e-12)
+        assert math.ldexp(*_sweep(frows, req, False, 10**7, [len(frows)])[0]) == \
+            pytest.approx(want, rel=1e-12)
 
 
 class TestSubadditivity:
