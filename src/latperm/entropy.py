@@ -113,9 +113,9 @@ def upper_estimates(
 
     When every window's sorted points are a prefix of the largest window's,
     as the boxes of Z are, each mode sweeps the largest window once and
-    reads every window at its cut (window_permanents). Each window that
-    sweep does not reach within the budget runs alone, so a window is
-    skipped only when it blows the budget by itself."""
+    reads every window at its cut (window_permanents), its components
+    advancing cut by cut. Each window that sweep does not reach within the
+    budget runs alone, so a window is skipped only when it blows it alone."""
 
     windows = schedule.windows
     sizes = [len(F) for F in windows]

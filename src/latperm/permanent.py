@@ -9,13 +9,15 @@ are cross-checks:
 * ``sweep`` - the sites split into the connected components of the
   site-target graph, and the permanent is the product over the components
   of a frontier dynamic program over their sites in lexicographic order,
-  run by one numpy engine for windows, tori and matrices. States are the
-  sets of claimed targets that some later site can still claim, so the
-  frontier stays small. Coverage requirements are enforced the moment a
-  target's last potential claimant passes. Keys and exact values start as
-  int64 and turn into Python ints when the frontier or the values outgrow
-  it, so integer inputs give exact integers of any size; float values are
-  scaled by 2^-512 past 2^512. A torus sweeps one component, see below.
+  run by one numpy stepper for windows, tori and matrices that yields the
+  frontier at each cut; components advance side by side, cut by cut.
+  States are the sets of claimed targets that some later site can still
+  claim, so the frontier stays small. Coverage requirements are enforced
+  the moment a target's last potential claimant passes. Keys and exact
+  values start as int64 and turn into Python ints when the frontier or the
+  values outgrow it, so integer inputs give exact integers of any size;
+  float values are scaled by 2^-512 past 2^512. A torus sweeps one
+  component, see below.
 * ``dfs`` - plain depth-first backtracking without memoization.
 * ``ryser`` - Gray-code Ryser on the same rows, with rectangular inputs
   padded by all-one rows, and coverage handled by inclusion-exclusion over
@@ -27,7 +29,7 @@ All kernels honor a node budget and raise CapacityError when they blow it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,46 +168,46 @@ def _sweep(rows, required_mask: int, exact: bool, budget: int, cuts) -> list:
 
     The rows split into the connected components of the site-target graph,
     and a value is the product of the components' values: a block-diagonal
-    matrix has the permanent of its blocks multiplied. Each component runs
-    the frontier engine once in site order with its own required targets,
-    cut at its number of rows below each cut, and the value at a cut is the
-    product over components of the sum of that snapshot's values. All of
-    them draw on one node budget, and the sweep stops once every value is
-    0. On CapacityError, ``reached`` holds the values of the first cuts,
-    those that every component has reached.
+    matrix has the permanent of its blocks multiplied. Each component has a
+    _frontier stepper with its own required targets, cut at its number of
+    rows below each cut, and all of them draw on one node budget. Every
+    component reaches a cut before any goes on to the next, and the product
+    of the sums of their snapshots there is folded at once. A cut whose
+    product turns 0 skips the components left; an empty frontier makes
+    every later cut 0 and ends the sweep. On CapacityError, ``reached``
+    holds the values of the cuts completed.
     """
-    zero = (0 if exact else 0.0), 0
+    zero, one = ((0, 0), (1, 0)) if exact else ((0.0, 0), (1.0, 0))
     parts = _components(rows)
     # the component masks are disjoint, so their sum is their union
     if required_mask & ~sum(mask for _, mask in parts):
         return [zero] * len(cuts)
-    totals = [((1 if exact else 1.0), 0)] * len(cuts)
-
-    def fold(snaps):  # multiply each cut's total by its snapshot's sum
-        for i, (_, vals, exp, _) in enumerate(snaps):
-            value, exp = _shrink(int(vals.sum()) if exact else float(vals.sum()), exp)
-            total = totals[i]
-            totals[i] = _shrink(total[0] * value, total[1] + exp) if value and total[0] else zero
-        return totals[:len(snaps)]
-
-    nodes = 0
-    for i, (members, mask) in enumerate(parts):
-        try:
-            snaps, nodes = _frontier([rows[k] for k in members], required_mask & mask, exact,
-                                     budget, nodes, [bisect_left(members, c) for c in cuts])
-        except CapacityError as e:
-            # the later components start at or past the next one's first row,
-            # so only the cuts up to there have their values
-            ahead = parts[i + 1][0][0] if i + 1 < len(parts) else len(rows)
-            e.reached = fold(e.reached)[:bisect_right(cuts, ahead)]
-            raise
-        fold(snaps)
-        if not any(value for value, _ in totals):
-            break
+    spent = [0]
+    steppers = [_frontier([rows[k] for k in members], required_mask & mask, exact, budget, spent,
+                          [bisect_left(members, c) for c in cuts]) for members, mask in parts]
+    taken = [0] * len(parts)  # the snapshots each stepper has yielded
+    totals = []
+    try:
+        for i in range(len(cuts)):
+            total = one
+            for p, step in enumerate(steppers):
+                while taken[p] <= i:  # through the cuts a 0 product skipped
+                    _, vals, exp, _ = next(step)
+                    taken[p] += 1
+                if not vals.size:
+                    return totals + [zero] * (len(cuts) - i)
+                value, exp = _shrink(int(vals.sum()) if exact else float(vals.sum()), exp)
+                total = _shrink(total[0] * value, total[1] + exp) if value else zero
+                if not total[0]:
+                    break
+            totals.append(total)
+    except CapacityError as e:
+        e.reached = totals
+        raise
     return totals
 
 
-def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int, cuts):
+def _frontier(rows, required_mask: int, exact: bool, budget: int, spent: list, cuts):
     """Frontier DP over the rows, vectorized over the states of each step.
 
     A state is the set of claimed targets that a later row can still claim,
@@ -220,12 +222,13 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int, cu
     first row whose bound sum(|values|) * sum(|weights|) on the next values
     could reach 2^62. Float values are divided by 2^512 after each row that
     takes one past it, and ``exp`` counts the bits. A node is one (state,
-    choice) pair, counted before a row is built; ``nodes`` counts those
-    already spent. Runs up to the last of the ascending row indices
-    ``cuts`` and returns (snapshots, nodes): before each cut, the sorted
-    keys, values, exp and {target: key bit} of the live targets, which rows
-    on both sides of the cut can claim. At cut len(rows) the one value is
-    the permanent. On CapacityError, ``reached`` holds the snapshots taken.
+    choice) pair, added to the shared counter ``spent[0]`` before a row is
+    built; past ``budget`` it raises CapacityError. The stepper yields, at
+    each of the ascending row indices ``cuts``, the snapshot: sorted keys,
+    values, exp and {target: key bit} of the live targets, which rows on
+    both sides of the cut can claim. At cut len(rows) the one value is the
+    permanent. Once the frontier is empty, no more rows run and every later
+    cut yields it, with no live target.
     """
     last = {j: k for k, row in enumerate(rows) for j, _ in row}
     signed = any(w < 0 for row in rows for _, w in row)  # else every value is >= 0
@@ -234,68 +237,64 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, nodes: int, cu
     bit: dict[int, int] = {}  # target -> its key bit; dead entries are never read
     used = 0  # the bits of the live targets
     exp = 0
-    snaps = []
-    for k in range(cuts[-1] + 1):
-        if k in cuts:
-            live = {j: b for j, b in bit.items() if last[j] >= k}
-            snaps += [(keys, vals, exp, live)] * cuts.count(k)
-        if k == cuts[-1]:
-            break
-        row = rows[k]
-        nodes += keys.size * len(row)
-        if nodes > budget:
-            raise CapacityError(
-                f"sweep kernel exceeded {budget} nodes at row {k}/{len(rows)} of a component",
-                nodes, budget, snaps,
-            )
-        if exact and vals.dtype != object:
-            bound = max(int((np.abs(vals) if signed else vals).sum()), 1) * sum(
-                abs(w) for _, w in row)
-            if bound >= _VALUE_LIMIT:
-                vals = vals.astype(object)
-        # a required target dying here must be claimed in the state already
-        # (need) or, if no earlier row reaches it, by this row (unclaimed)
-        tests = [bit.get(j, 0) for j, _ in row]
-        need = unclaimed = 0
-        for (j, _), b in zip(row, tests):
-            if last[j] == k:
-                used &= ~b
-                if required_mask >> j & 1:
-                    if b:
-                        need |= b
-                    else:
-                        unclaimed |= 1 << j
-        keep = used
-        choices = []
-        for (j, w), b in zip(row, tests):
-            put = b if last[j] > k else 0
-            if last[j] > k and not b:
-                put = bit[j] = ~used & (used + 1)
-                used |= put
-            if not unclaimed or unclaimed == 1 << j:
-                choices.append((b, put, w))
-        # convert keys & keep, not keys: a dying bit may sit above 62
-        base = (keys & keep).astype(object if used >> _KEY_BITS else np.int64, copy=False)
-        kk, vv = _candidates(keys, vals, base, choices, need)
-        del keys, vals, base  # the snapshots keep what they need
-        if kk.size == 0:  # no pattern: every later state is empty
-            return snaps + [(kk, vv, exp, {})] * (len(cuts) - len(snaps)), nodes
-        order = np.argsort(kk, kind="stable")
-        kk = kk[order]
-        vv = vv[order]
-        del order
-        first = np.empty(kk.size, dtype=bool)  # the first key of each run
-        first[0] = True
-        np.not_equal(kk[1:], kk[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        del first
-        keys = kk[starts]
-        vals = np.add.reduceat(vv, starts)
-        del kk, vv, starts
-        if not exact and max(vals.max(), -vals.min()) >= _FLOAT_LIMIT:
-            vals = vals / _FLOAT_LIMIT
-            exp += 512
-    return snaps, nodes
+    k = 0
+    for cut in cuts:
+        while k < cut and keys.size:
+            row = rows[k]
+            spent[0] += keys.size * len(row)
+            if spent[0] > budget:
+                raise CapacityError(f"sweep kernel exceeded {budget} nodes at row {k}/{len(rows)}"
+                                    " of a component", spent[0], budget)
+            if exact and vals.dtype != object:
+                bound = max(int((np.abs(vals) if signed else vals).sum()), 1) * sum(
+                    abs(w) for _, w in row)
+                if bound >= _VALUE_LIMIT:
+                    vals = vals.astype(object)
+            # a required target dying here must be claimed in the state already
+            # (need) or, if no earlier row reaches it, by this row (unclaimed)
+            tests = [bit.get(j, 0) for j, _ in row]
+            need = unclaimed = 0
+            for (j, _), b in zip(row, tests):
+                if last[j] == k:
+                    used &= ~b
+                    if required_mask >> j & 1:
+                        if b:
+                            need |= b
+                        else:
+                            unclaimed |= 1 << j
+            keep = used
+            choices = []
+            for (j, w), b in zip(row, tests):
+                put = b if last[j] > k else 0
+                if last[j] > k and not b:
+                    put = bit[j] = ~used & (used + 1)
+                    used |= put
+                if not unclaimed or unclaimed == 1 << j:
+                    choices.append((b, put, w))
+            # convert keys & keep, not keys: a dying bit may sit above 62
+            base = (keys & keep).astype(object if used >> _KEY_BITS else np.int64, copy=False)
+            kk, vv = _candidates(keys, vals, base, choices, need)
+            del keys, vals, base  # a yielded snapshot stays with its reader
+            if kk.size == 0:  # no pattern: every later state is empty, no target live
+                keys, vals, bit = kk, vv, {}
+                break
+            order = np.argsort(kk, kind="stable")
+            kk = kk[order]
+            vv = vv[order]
+            del order
+            first = np.empty(kk.size, dtype=bool)  # the first key of each run
+            first[0] = True
+            np.not_equal(kk[1:], kk[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            del first
+            keys = kk[starts]
+            vals = np.add.reduceat(vv, starts)
+            del kk, vv, starts
+            if not exact and max(vals.max(), -vals.min()) >= _FLOAT_LIMIT:
+                vals = vals / _FLOAT_LIMIT
+                exp += 512
+            k += 1
+        yield keys, vals, exp, {j: b for j, b in bit.items() if last[j] >= cut}
 
 
 def _dfs_permanent(rows, required_mask: int, exact: bool, budget: int):
@@ -576,8 +575,8 @@ def torus_permanent(
     members, mask = parts[0]
     m = len({sites[k][0] for k in members})
     a, b, width = m - m // 2, m // 2, len(members) // m
-    (snap_b, snap_a), _ = _frontier([rows[k] for k in members], mask, use_exact, budget, 0,
-                                    (b * width, a * width))
+    snap_b, snap_a = _frontier([rows[k] for k in members], mask, use_exact, budget, [0],
+                               (b * width, a * width))
     v = sites[members[a * width]] if a < m else sites[0]
     value, exp = _join(snap_a, snap_b, lambda t: index[quotient.reduce(sub(sites[t], v))],
                        use_exact)

@@ -656,7 +656,7 @@ class TestNestedSchedules:
 
     def test_one_frontier_per_component_and_mode(self, monkeypatch):
         # sites 0..11 with claims s, s + 3, s + 6 split into 3 residue
-        # classes, so 9 windows in 2 modes take 6 frontier runs, not 54
+        # classes, so 9 windows in 2 modes take 6 frontier steppers, not 54
         calls = []
         frontier = permanent._frontier
         monkeypatch.setattr(permanent, "_frontier",
@@ -677,24 +677,49 @@ class TestNestedSchedules:
 
 
 class TestNestedCapacity:
-    """At this budget the shared sweep of boxes 4..12 stops after box5 in
-    each mode. The windows it did not reach run alone: box6..box9 fit and
-    box10..box12 are skipped, exactly as in a per-window run."""
+    """At budget 75 the shared sweep of boxes 4..12 reaches box4..box9 in
+    each mode, its three components advancing cut by cut, and at budget 40
+    box4..box6: in both cases the windows that fit alone. Only the windows
+    past those run alone, and they are skipped, exactly as in a per-window
+    run."""
 
     F = indicator(0, 3, 6)
     SCHEDULE = WindowSchedule.boxes(1, range(4, 13))
     BUDGET = 75
+    REACHED = [(40, 3), (BUDGET, 6)]  # (budget, windows the shared sweep reaches)
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_shared_sweep_stops_partway(self, mode):
+    @pytest.mark.parametrize("budget, reached", REACHED)
+    def test_shared_sweep_stops_partway(self, mode, budget, reached):
         with pytest.raises(CapacityError) as info:
             permanent.window_permanents(self.F, self.SCHEDULE.windows[-1], range(4, 13),
-                                        mode, self.BUDGET)
-        want = [window_permanent(self.F, F, mode=mode) for F in self.SCHEDULE.windows[:2]]
+                                        mode, budget)
+        want = [window_permanent(self.F, F, mode=mode, budget=budget)
+                for F in self.SCHEDULE.windows[:reached]]
         assert info.value.reached == want
-        rows, skipped = per_window(self.F, self.SCHEDULE, self.BUDGET)
-        assert [r.window for r in rows[::2]] == [f"box{n}" for n in range(4, 10)]
-        assert len(skipped) == 6
+        rows, skipped = per_window(self.F, self.SCHEDULE, budget)
+        assert [r.window for r in rows[::2]] == [f"box{n}" for n in range(4, 4 + reached)]
+        assert len(skipped) == 2 * (9 - reached)
+
+    @pytest.mark.parametrize("budget, reached", REACHED)
+    def test_fallback_runs_only_unreached_windows(self, monkeypatch, budget, reached):
+        calls = []
+        single = entropy.window_permanent
+        monkeypatch.setattr(entropy, "window_permanent",
+                            lambda f, F, **kw: calls.append(len(F)) or single(f, F, **kw))
+        assert upper_estimates(self.F, self.SCHEDULE, budget=budget) == \
+            per_window(self.F, self.SCHEDULE, budget)
+        assert sorted(calls) == [n for n in range(4 + reached, 13) for _ in MODES]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_shared_sweep_node_cost(self, mode):
+        # the three components' steppers spend 108 nodes on box12's 12 sites
+        box12 = self.SCHEDULE.windows[-1]
+        values = permanent.window_permanents(self.F, box12, range(4, 13), mode, 108)
+        assert values == [window_permanent(self.F, F, mode=mode) for F in self.SCHEDULE.windows]
+        with pytest.raises(CapacityError) as info:
+            permanent.window_permanents(self.F, box12, range(4, 13), mode, 107)
+        assert info.value.reached == values[:len(info.value.reached)]
 
     def test_report_matches_per_window_calls(self):
         want, skipped = per_window(self.F, self.SCHEDULE, self.BUDGET)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from latperm.groupring import (
     CapacityError,
@@ -299,6 +299,14 @@ class TestComponents:
             matrix_permanent(two, backend="sweep", exact=True, budget=41)
         assert matrix_permanent(two, backend="sweep", exact=True, budget=42) == 36
 
+    def test_zero_product_skips_the_components_left(self):
+        # rows 0 and 2 sum to 0 at both cuts while their frontier keeps a
+        # state, so their 6 nodes are all: rows 1 and 3 never run
+        rows = [[(0, 1), (1, -1)], [(2, 1), (3, 1)], [(0, 1), (1, 1)], [(2, 1), (3, 1)]]
+        assert _sweep(rows, 0, True, 6, [3, 4]) == [(0, 0), (0, 0)]
+        with pytest.raises(CapacityError):
+            _sweep(rows, 0, True, 5, [3, 4])
+
 
 @st.composite
 def sparse_rows(draw):
@@ -313,6 +321,15 @@ def sparse_rows(draw):
     return rows, draw(st.integers(0, (1 << 9) - 1))
 
 
+@st.composite
+def cut_sweeps(draw):
+    """sparse_rows with up to 6 ascending cuts, repeats and 0 allowed, and a
+    node budget."""
+    rows, req = draw(sparse_rows())
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), min_size=1, max_size=6)))
+    return rows, req, cuts, draw(st.integers(0, 60))
+
+
 class TestStableKeyBits:
     @given(sparse_rows())
     @settings(deadline=None, max_examples=300)
@@ -323,6 +340,23 @@ class TestStableKeyBits:
         frows = [[(j, float(w)) for j, w in row] for row in rows]
         assert math.ldexp(*_sweep(frows, req, False, 10**7, [len(frows)])[0]) == \
             pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    @given(cut_sweeps())
+    @example(([[(0, 1)], [(1, 2), (2, -1)], [(0, 3)], [(2, 1)]], 0b101, [0, 1, 1, 2, 3, 4, 4], 3))
+    @settings(deadline=None, max_examples=300)
+    def test_multi_cut_sweep_matches_dfs_below_each_cut(self, inst):
+        # rows 0 and 2 both claim only target 0, so the frontier empties at
+        # row 2 of the example, and its cuts repeat and start at 0
+        rows, req, cuts, budget = inst
+        values = _sweep(rows, req, True, 10**7, cuts)
+        for c, value in zip(cuts, values):
+            later = sum(1 << j for j in {j for row in rows[c:] for j, _ in row})
+            assert value == (_dfs_permanent(rows[:c], req & ~later, True, 10**7), 0)
+        try:
+            reached = _sweep(rows, req, True, budget, cuts)
+        except CapacityError as e:
+            reached = e.reached
+        assert reached == values[:len(reached)]
 
     @pytest.mark.parametrize("req", [0, 1 << 65 | 1 << 2])
     def test_frontier_above_62_bits_then_narrow(self, req):
