@@ -32,7 +32,6 @@ from .groupring import (
     TorusQuotient,
     Window,
     dilate,
-    folner_defect,
     interior,
     project,
     separated_on_quotient,
@@ -66,7 +65,6 @@ __all__ = [
     "family_instance",
     "finite_det_ffstar",
     "fk_finite_sections",
-    "folner_defect",
     "interior",
     "mahler_measure",
     "mahler_measure_roots",

@@ -10,11 +10,11 @@ Subcommands:
   verify     seeded invariant suite, one PASS/FAIL line per check
 
 Exit codes: 0 success, 1 verify failures, 2 argument or input errors,
-3 capacity budget exceeded (partial output is still written), 4 numerical
-failure (a transfer eigen-solve that did not converge, whose value left
-its Collatz-Wielandt bracket or failed its dense check; a root-based Mahler
-measure whose coefficient ratios overflow in both orientations; or an
-inexact Ryser padding division).
+3 capacity budget exceeded (partial output is still written, unless memory
+ran out), 4 numerical failure (a transfer eigen-solve that did not
+converge, whose value left its Collatz-Wielandt bracket or failed its dense
+check; a root-based Mahler measure whose coefficient ratios overflow in
+both orientations; or an inexact Ryser padding division).
 
 All output is formatted here: _dump writes every JSON payload and _csv
 every CSV, and both print floats with 12 significant digits and a '.'
@@ -614,23 +614,24 @@ _FLAGS = {
     "--threads": dict(type=int, help="quadrature threads for mahler and compare"),
     "--budget": dict(type=int, help="node budget before a capacity error"),
 }
-_ESTIMATE = "--windows --tori --format --threads --budget"
 
-# name: (run, help, what --input and --inline hold or None, the _FLAGS it reads)
+# name: (run, help, what --input and --inline hold or None, the _FLAGS it reads);
+# pressure accepts --threads unread, as benchmark command lines still pass it
 _SUBCOMMANDS = {
     "entropy": (cmd_entropy, "growth-rate report for a displacement set",
-                "displacement set as a window or element", _ESTIMATE),
+                "displacement set as a window or element",
+                "--windows --tori --format --budget"),
     "pressure": (cmd_pressure, "growth-rate report for a weight element",
-                 "nonnegative weight element", _ESTIMATE),
+                 "nonnegative weight element", "--windows --tori --format --threads --budget"),
     "permanent": (cmd_permanent, "pattern sums on a single box window", "weight element",
-                  "--windows --format --threads --budget"),
+                  "--windows --format --budget"),
     "mahler": (cmd_mahler, "logarithmic Mahler measure", "Laurent element",
                "--grid --eps --format --threads"),
     "compare": (cmd_compare, "permanent bracket vs determinant value", None,
                 "--params --grid --eps --format --threads --budget"),
     "periodic": (cmd_periodic, "pattern counts on torus quotients",
-                 "displacement set or weight element", "--tori --format --threads --budget"),
-    "verify": (cmd_verify, "seeded invariant suite", None, "--threads --budget"),
+                 "displacement set or weight element", "--tori --format --budget"),
+    "verify": (cmd_verify, "seeded invariant suite", None, "--budget"),
 }
 
 
@@ -662,8 +663,8 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(**vars(args))
         text, code = _SUBCOMMANDS[cfg.command][0](cfg)
-    except CapacityError as e:
-        print(f"capacity budget exceeded: {e}", file=sys.stderr)
+    except (CapacityError, MemoryError) as e:
+        print(f"capacity budget exceeded: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -114,8 +114,9 @@ def upper_estimates(
     When every window's sorted points are a prefix of the largest window's,
     as the boxes of Z are, each mode sweeps the largest window once and
     reads every window at its cut (window_permanents), its components
-    advancing cut by cut. Each window that sweep does not reach within the
-    budget runs alone, so a window is skipped only when it blows it alone."""
+    advancing cut by cut; each value is stored as it is yielded. Each window
+    that sweep does not reach within the budget runs alone, so a window is
+    skipped only when it blows it alone."""
 
     windows = schedule.windows
     sizes = [len(F) for F in windows]
@@ -123,10 +124,10 @@ def upper_estimates(
     if windows and all(F.points == windows[-1].points[:n] for F, n in zip(windows, sizes)):
         for mode in modes:
             try:
-                values = window_permanents(f, windows[-1], sizes, mode, budget)
-            except CapacityError as e:
-                values = e.reached
-            swept.update(((n, mode), v) for n, v in zip(sizes, values))
+                for n, v in zip(sizes, window_permanents(f, windows[-1], sizes, mode, budget)):
+                    swept[n, mode] = v
+            except CapacityError:
+                pass  # the windows not reached run alone below
 
     def run(job):
         _, F, mode = job
@@ -216,10 +217,7 @@ def transfer_matrix(f: GroupRingElement) -> tuple[Block, ...]:
     shifted = {p[0] - lo: c for p, c in f.terms.items()}
     K = max(shifted)
     if K > _TRANSFER_MAX_SPAN:
-        raise CapacityError(
-            f"transfer span {K} exceeds the {_TRANSFER_MAX_SPAN} limit",
-            1 << K, 1 << _TRANSFER_MAX_SPAN,
-        )
+        raise CapacityError(f"transfer span {K} exceeds the {_TRANSFER_MAX_SPAN} limit")
     states = np.arange(1 << K)
     # one sweep row over every state: choice a claims target a, and position
     # zero (need) is claimed once the step is done; each key keeps a copy of

@@ -31,6 +31,9 @@ _GRID_CELL_CAP = 1 << 24
 # bytes a cell. numpy's add-reduce splits no range of 128 cells or fewer, so
 # the cap must be at least 128
 _BLOCK_CELLS = 1 << 15
+# bounds the companion matrix of mahler_measure_roots: np.roots takes about
+# 3 s at degree 1024 and 20 s at 2048
+_ROOTS_MAX_DEGREE = 1024
 
 
 @dataclass(frozen=True)
@@ -200,8 +203,7 @@ def mahler_measure(
     grids = [cfg.grid << i for i in range(cfg.refinements + 1)]
     for g in grids:
         if g ** f.dim > _GRID_CELL_CAP:
-            raise CapacityError(f"quadrature grid {g}^{f.dim} exceeds the cell cap",
-                                g ** f.dim, _GRID_CELL_CAP)
+            raise CapacityError(f"quadrature grid {g}^{f.dim} exceeds the cell cap")
     eps_levels = sorted(set(_EPS_SWEEP) | {cfg.eps})
     values = {eps: [] for eps in eps_levels}
     for g in grids:
@@ -230,13 +232,18 @@ def mahler_measure_roots(f: GroupRingElement) -> float:
     first and last nonzero terms: a zero end is a root at 0 or a lower
     degree. np.roots divides by the leading coefficient; where that
     overflows, the reciprocal polynomial u^n g(1/u), which has the same
-    measure, is used. ArithmeticError when both orientations overflow."""
+    measure, is used. ArithmeticError when both orientations overflow, and
+    CapacityError when the span of the terms exceeds _ROOTS_MAX_DEGREE."""
     if f.dim != 1:
         raise ValueError("root-based mahler measure needs dimension one")
     if f.is_zero():
         raise ValueError("mahler measure of the zero element is undefined")
     g, k = f.unit_scale()
     support = [p[0] for p, c in g.terms.items() if c]
+    degree = max(support) - min(support)
+    if degree > _ROOTS_MAX_DEGREE:
+        raise CapacityError(f"root-based mahler measure of degree {degree}"
+                            f" exceeds the {_ROOTS_MAX_DEGREE} cap")
     forward = [g.coef((e,)) for e in range(max(support), min(support) - 1, -1)]
     for coeffs in (forward, forward[::-1]):
         if all(math.isfinite(c / coeffs[0]) for c in coeffs[1:]):
@@ -446,8 +453,7 @@ def evaluate_family(
     upper_rows, skipped = upper_estimates(f, WindowSchedule.boxes(2, [2, 4, 6]),
                                           modes=("admissible",), budget=budget)
     if not upper_rows:
-        raise CapacityError(
-            "no window fits the budget: " + "; ".join(skipped), budget=budget)
+        raise CapacityError("no window fits the budget: " + "; ".join(skipped))
     torus_rows, torus_skipped = torus_estimates(f, default_tori(f, max_side=4),
                                                 budget=budget)
     per_high = min(r.normalized for r in upper_rows)

@@ -19,16 +19,8 @@ Point = tuple[int, ...]
 
 
 class CapacityError(RuntimeError):
-    """Raised when an enumeration or kernel exceeds its node budget.
-
-    ``reached`` lists the results a kernel finished before the budget ran
-    out, in the form its docstring names; it is empty for most kernels."""
-
-    def __init__(self, message: str, nodes: int = 0, budget: int = 0, reached=()):
-        super().__init__(message)
-        self.nodes = nodes
-        self.budget = budget
-        self.reached = list(reached)
+    """Raised when an enumeration or kernel exceeds its node budget or a
+    size cap; the message names which."""
 
 
 def _as_point(p: Sequence[int]) -> Point:
@@ -147,14 +139,6 @@ def interior(F: Window, A: Window) -> Window:
     fs = F.point_set
     candidates = {add(t, a) for t in F for a in A}
     return Window(tuple(t for t in candidates if all(sub(t, a) in fs for a in A)))
-
-
-def folner_defect(F: Window, K: Window) -> float:
-    """|FK \\ F| / |F|, the boundary growth of F under dilation by K."""
-    if len(F) == 0:
-        raise ValueError("defect of an empty window is undefined")
-    grown = dilate(F, K).point_set
-    return len(grown - F.point_set) / len(F)
 
 
 class GroupRingElement:

@@ -59,9 +59,7 @@ def _enumerate(A: Window, F: Window, image_in: frozenset[Point] | None,
                 continue
             nodes += 1
             if nodes > budget:
-                raise CapacityError(
-                    f"pattern enumeration exceeded {budget} nodes", nodes, budget
-                )
+                raise CapacityError(f"pattern enumeration exceeded {budget} nodes")
             used.add(t)
             chosen.append(a)
             yield from go(k + 1)

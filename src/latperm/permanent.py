@@ -10,7 +10,8 @@ are cross-checks:
   site-target graph, and the permanent is the product over the components
   of a frontier dynamic program over their sites in lexicographic order,
   run by one numpy stepper for windows, tori and matrices that yields the
-  frontier at each cut; components advance side by side, cut by cut.
+  frontier at each cut; components advance side by side, cut by cut, and
+  each cut's value is yielded as soon as all of them reach it.
   States are the sets of claimed targets that some later site can still
   claim, so the frontier stays small. Coverage requirements are enforced
   the moment a target's last potential claimant passes. Keys and exact
@@ -24,12 +25,15 @@ are cross-checks:
   the required targets.
 
 All kernels honor a node budget and raise CapacityError when they blow it.
+The error carries only its message: the partial result of a multi-cut
+sweep is the values its reader took before the error.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,11 +164,11 @@ def _shrink(x, exp: int):
     return x, exp
 
 
-def _sweep(rows, required_mask: int, exact: bool, budget: int, cuts) -> list:
-    """Permanents of the rows below each of the ascending ``cuts``, as
-    pairs (value, exp) meaning value * 2^exp; exp is 0 in exact mode. The
-    value at cut c is the permanent of rows[:c] that leaves unclaimed no
-    required target all of whose rows lie below c.
+def _sweep(rows, required_mask: int, exact: bool, budget: int, cuts):
+    """Yield the permanents of the rows below each of the ascending
+    ``cuts``, as pairs (value, exp) meaning value * 2^exp; exp is 0 in exact
+    mode. The value at cut c is the permanent of rows[:c] that leaves
+    unclaimed no required target all of whose rows lie below c.
 
     The rows split into the connected components of the site-target graph,
     and a value is the product of the components' values: a block-diagonal
@@ -172,39 +176,36 @@ def _sweep(rows, required_mask: int, exact: bool, budget: int, cuts) -> list:
     _frontier stepper with its own required targets, cut at its number of
     rows below each cut, and all of them draw on one node budget. Every
     component reaches a cut before any goes on to the next, and the product
-    of the sums of their snapshots there is folded at once. A cut whose
-    product turns 0 skips the components left; an empty frontier makes
-    every later cut 0 and ends the sweep. On CapacityError, ``reached``
-    holds the values of the cuts completed.
+    of the sums of their snapshots there is yielded at once, so a reader
+    that stops early spends no nodes on later cuts, and on CapacityError
+    keeps the values it took. A cut whose product turns 0 skips the
+    components left; an empty frontier makes every later cut 0 and ends the
+    sweep.
     """
     zero, one = ((0, 0), (1, 0)) if exact else ((0.0, 0), (1.0, 0))
     parts = _components(rows)
     # the component masks are disjoint, so their sum is their union
     if required_mask & ~sum(mask for _, mask in parts):
-        return [zero] * len(cuts)
+        yield from [zero] * len(cuts)
+        return
     spent = [0]
     steppers = [_frontier([rows[k] for k in members], required_mask & mask, exact, budget, spent,
                           [bisect_left(members, c) for c in cuts]) for members, mask in parts]
     taken = [0] * len(parts)  # the snapshots each stepper has yielded
-    totals = []
-    try:
-        for i in range(len(cuts)):
-            total = one
-            for p, step in enumerate(steppers):
-                while taken[p] <= i:  # through the cuts a 0 product skipped
-                    _, vals, exp, _ = next(step)
-                    taken[p] += 1
-                if not vals.size:
-                    return totals + [zero] * (len(cuts) - i)
-                value, exp = _shrink(int(vals.sum()) if exact else float(vals.sum()), exp)
-                total = _shrink(total[0] * value, total[1] + exp) if value else zero
-                if not total[0]:
-                    break
-            totals.append(total)
-    except CapacityError as e:
-        e.reached = totals
-        raise
-    return totals
+    for i in range(len(cuts)):
+        total = one
+        for p, step in enumerate(steppers):
+            while taken[p] <= i:  # through the cuts a 0 product skipped
+                _, vals, exp, _ = next(step)
+                taken[p] += 1
+            if not vals.size:
+                yield from [zero] * (len(cuts) - i)
+                return
+            value, exp = _shrink(int(vals.sum()) if exact else float(vals.sum()), exp)
+            total = _shrink(total[0] * value, total[1] + exp) if value else zero
+            if not total[0]:
+                break
+        yield total
 
 
 def _frontier(rows, required_mask: int, exact: bool, budget: int, spent: list, cuts):
@@ -244,7 +245,7 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, spent: list, c
             spent[0] += keys.size * len(row)
             if spent[0] > budget:
                 raise CapacityError(f"sweep kernel exceeded {budget} nodes at row {k}/{len(rows)}"
-                                    " of a component", spent[0], budget)
+                                    " of a component")
             if exact and vals.dtype != object:
                 bound = max(int((np.abs(vals) if signed else vals).sum()), 1) * sum(
                     abs(w) for _, w in row)
@@ -318,9 +319,7 @@ def _dfs_permanent(rows, required_mask: int, exact: bool, budget: int):
                 continue
             nodes += 1
             if nodes > budget:
-                raise CapacityError(
-                    f"dfs kernel exceeded {budget} nodes", nodes, budget
-                )
+                raise CapacityError(f"dfs kernel exceeded {budget} nodes")
             nm = mask | bit
             if nm & need != need:
                 continue
@@ -350,7 +349,7 @@ def ryser_permanent(rows, columns, exact: bool = False):
     if n == 0:
         return 1 if exact else 1.0
     if n > _RYSER_MAX_COLS:
-        raise CapacityError(f"ryser limited to {_RYSER_MAX_COLS} columns", n, _RYSER_MAX_COLS)
+        raise CapacityError(f"ryser limited to {_RYSER_MAX_COLS} columns")
     # the (row, weight) entries of each kept column
     cols = [[(i, w) for i, row in enumerate(rows) for j, w in row if j == c] for c in columns]
     pad = n - m
@@ -437,7 +436,7 @@ def window_permanent(
     rows, required, k, ncols = plan
     req_mask = sum(1 << j for j in required)
     if backend == "sweep":
-        return _cut_values(rows, req_mask, k, budget, [len(F)])[0]
+        return next(_cut_values(rows, req_mask, k, budget, [len(F)]))
     if backend == "dfs":
         raw = _dfs_permanent(rows, req_mask, k is None, budget)
     else:
@@ -451,20 +450,22 @@ def window_permanents(
     sizes,
     mode: str = "admissible",
     budget: int = DEFAULT_BUDGET,
-) -> list[LogValue]:
-    """window_permanent of f on each window F_n of the first n points of F,
-    n in the ascending ``sizes``, from one sweep of F's sites: F_n's value
-    is read at cut n.
+) -> Iterator[LogValue]:
+    """An iterator of window_permanent of f on each window F_n of the first
+    n points of F, n in the ascending ``sizes``, from one sweep of F's
+    sites: F_n's value is read at cut n. The arguments are checked and the
+    rows built at the call; each value is swept when it is taken, so a
+    reader that stops early spends no nodes on larger windows, and one that
+    meets CapacityError keeps the windows it took.
 
     The sites run in F's order, so F_n's sites are the rows below cut n, and
     with A the support of f, interior(F_n) is the set of targets of
     interior(F) whose claimants t - A all lie in F_n: the required targets
     whose rows all lie below the cut, which is what _sweep checks there.
-    On CapacityError, ``reached`` holds the values of the windows reached.
     """
     plan = _window_rows(f, F, None, mode, None)
     if plan is None:
-        return [LogValue.from_linear(1 if n == 0 else 0) for n in sizes]
+        return iter([LogValue.from_linear(1 if n == 0 else 0) for n in sizes])
     rows, required, k, _ = plan
     return _cut_values(rows, sum(1 << j for j in required), k, budget, sizes)
 
@@ -488,15 +489,11 @@ def _window_rows(f: GroupRingElement, F: Window, A: Window | None, mode: str,
     return rows, required, k, len(index)
 
 
-def _cut_values(rows, req_mask: int, k, budget: int, sizes) -> list[LogValue]:
+def _cut_values(rows, req_mask: int, k, budget: int, sizes) -> Iterator[LogValue]:
     """_sweep's values at the cuts ``sizes`` as the LogValues of windows of
-    those sizes (see _scaled_logvalue), and so is CapacityError.reached."""
-    try:
-        raws = _sweep(rows, req_mask, k is None, budget, sizes)
-    except CapacityError as e:
-        e.reached = [_scaled_logvalue(raw, exp, k, n) for (raw, exp), n in zip(e.reached, sizes)]
-        raise
-    return [_scaled_logvalue(raw, exp, k, n) for (raw, exp), n in zip(raws, sizes)]
+    those sizes (see _scaled_logvalue)."""
+    for (raw, exp), n in zip(_sweep(rows, req_mask, k is None, budget, sizes), sizes):
+        yield _scaled_logvalue(raw, exp, k, n)
 
 
 def _scaled_logvalue(raw, exp, k, nsites) -> LogValue:
@@ -514,8 +511,7 @@ def _inclusion_exclusion_permanent(rows, ncols: int, required: list[int], exact:
     """Coverage-constrained permanent of the rows over columns 0..ncols-1,
     via inclusion-exclusion over the required columns dropped."""
     if len(required) > 24:
-        raise CapacityError("inclusion-exclusion limited to 24 required columns",
-                            len(required), 24)
+        raise CapacityError("inclusion-exclusion limited to 24 required columns")
     total = 0 if exact else 0.0
     for k in range(1 << len(required)):
         drop = {required[i] for i in range(len(required)) if k >> i & 1}
@@ -650,7 +646,7 @@ def matrix_permanent(
     rows = [[(j, num(x)) for j, x in enumerate(row) if x] for row in M.tolist()]
     if backend == "ryser":
         return ryser_permanent(rows, range(n), exact)
-    value, exp = _sweep(rows, 0, exact, budget, [m])[0]
+    value, exp = next(_sweep(rows, 0, exact, budget, [m]))
     return math.ldexp(value, exp) if exp else value
 
 

@@ -130,7 +130,7 @@ def full_quotient_permanent(f, quotient, exact=None, budget=10**8):
     weights, k = _weights(f, exact, quotient.reduce)
     sites = quotient.points()
     rows = _rows(sites, weights, {p: j for j, p in enumerate(sites)}, quotient.reduce)
-    raw, exp = _sweep(rows, (1 << len(sites)) - 1, k is None, budget, [len(rows)])[0]
+    raw, exp = next(_sweep(rows, (1 << len(sites)) - 1, k is None, budget, [len(rows)]))
     return _scaled_logvalue(raw, exp, k, quotient.size)
 
 
@@ -251,6 +251,14 @@ def interior_scan(F_points, A_points):
         if all(tuple(x - a for x, a in zip(t, av)) in F for av in A):
             out.add(t)
     return out
+
+
+def folner_defect(F_points, K_points):
+    """|FK \\ F| / |F|, the boundary growth of the window F under dilation
+    by K, from the sums of their points."""
+    F = {tuple(p) for p in F_points}
+    grown = {tuple(x + k for x, k in zip(t, kv)) for t in F for kv in K_points}
+    return len(grown - F) / len(F)
 
 
 def quotient_convolve(a, b, moduli):

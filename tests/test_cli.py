@@ -7,6 +7,7 @@ import json
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 import oracles
@@ -99,13 +100,13 @@ SHARED_FLAGS = {
 ELEMENT = {"--input", "--inline", "--dim"}
 # the shared flags each subcommand reads; compare also takes family and --params
 READS = {
-    "entropy": ELEMENT | {"--windows", "--tori", "--format", "--budget", "--threads"},
+    "entropy": ELEMENT | {"--windows", "--tori", "--format", "--budget"},
     "pressure": ELEMENT | {"--windows", "--tori", "--format", "--budget", "--threads"},
-    "permanent": ELEMENT | {"--windows", "--format", "--budget", "--threads"},
+    "permanent": ELEMENT | {"--windows", "--format", "--budget"},
     "mahler": ELEMENT | {"--grid", "--eps", "--format", "--threads"},
     "compare": {"--grid", "--eps", "--format", "--budget", "--threads"},
-    "periodic": ELEMENT | {"--tori", "--format", "--budget", "--threads"},
-    "verify": {"--budget", "--threads"},
+    "periodic": ELEMENT | {"--tori", "--format", "--budget"},
+    "verify": {"--budget"},
 }
 
 
@@ -219,13 +220,6 @@ class TestEntropy:
         rows = json.loads(out)["rows"]
         assert len(lines) == 1 + len(rows)
         assert [line.split(",")[0] for line in lines[1:]] == [r["window"] for r in rows]
-
-    def test_threads_do_not_change_output(self, capsys):
-        base = ["entropy", "--inline", GOLDEN, "--windows", "4..8",
-                "--format", "csv"]
-        _, out1, _ = run(capsys, base + ["--threads", "1"])
-        _, out2, _ = run(capsys, base + ["--threads", "3"])
-        assert out1 == out2
 
     def test_capacity_partial_output_exit_3(self, capsys):
         code, out, _ = run(capsys, ["entropy", "--inline", L_SHAPE,
@@ -412,6 +406,16 @@ class TestMahler:
                                     "--grid", "4"])
         assert code == 2
         assert "grid" in err
+
+    def test_root_degree_past_the_cap_exits_3(self, capsys):
+        # the companion matrix of 1 + u^100000 would take 74.5 GiB
+        wide = '{"dim":1,"terms":[{"exp":[0],"coef":1},{"exp":[100000],"coef":1}]}'
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["mahler", "--inline", wide])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == ("capacity budget exceeded: root-based mahler measure of degree 100000"
+                       " exceeds the 1024 cap\n")
 
 
 class TestCompare:
@@ -600,7 +604,7 @@ class TestPeriodic:
         assert code == 2
         assert "collide" in err
 
-    def test_threads_do_not_change_output(self, capsys):
+    def test_budget_skips_tori_in_both_formats(self, capsys):
         unit = ('{"dim":2,"terms":[{"exp":[1,0],"coef":1},{"exp":[-1,0],"coef":1},'
                 '{"exp":[0,1],"coef":1},{"exp":[0,-1],"coef":1}]}')
         # 6x6, 3x4 and 3x3 blow the budget, 4x4 and 4x6 fit: 4x6 sweeps
@@ -609,16 +613,30 @@ class TestPeriodic:
                 "--budget", "1000"]
         outs = {}
         for fmt in ("json", "csv"):
-            for threads in ("1", "3"):
-                outs[fmt, threads] = run(capsys, base + ["--format", fmt,
-                                                         "--threads", threads])
-            assert outs[fmt, "1"] == outs[fmt, "3"]
-        code, out, _ = outs["json", "3"]
+            outs[fmt] = run(capsys, base + ["--format", fmt])
+            assert run(capsys, base + ["--format", fmt]) == outs[fmt]  # byte for byte
+        code, out, _ = outs["json"]
         assert code == 3
         payload = json.loads(out)
         assert [row["torus"] for row in payload["tori"]] == ["4x4", "4x6"]
         assert payload["tori"][0]["count"] == 73984
         assert [s.split(":")[0] for s in payload["capacity_skipped"]] == ["6x6", "3x4", "3x3"]
+        code, out, _ = outs["csv"]
+        assert code == 3
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["4x4", "4x6"]
+
+    @pytest.mark.parametrize("message, line", [
+        ((), "out of memory"),
+        (("Unable to allocate 1.91 GiB",), "Unable to allocate 1.91 GiB"),
+    ])
+    def test_out_of_memory_exits_3_without_traceback(self, capsys, monkeypatch, message, line):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(*message)
+
+        monkeypatch.setattr(cli, "torus_permanent", exhausted)
+        code, out, err = run(capsys, ["periodic", "--inline", L_SHAPE, "--tori", "4x4"])
+        assert (code, out) == (3, "")  # no partial output
+        assert err == f"capacity budget exceeded: {line}\n"
 
     def test_count_past_4300_digits(self, capsys):
         # 10 + u on Z/4301: the identity gives 10^4301 and the rotation 1
@@ -735,7 +753,7 @@ class TestVerify:
             return False, "forced"
 
         def runs_out(rng, budget):
-            raise CapacityError("out of nodes", budget + 1, budget)
+            raise CapacityError("out of nodes")
 
         monkeypatch.setattr(cli, "_VERIFY_CHECKS",
                             (("first", fails), ("second", runs_out), ("third", fails)))

@@ -1,6 +1,7 @@
 """Tests for entropy/pressure estimation: window schedules, transfer
 matrices, torus estimates, closed-form bounds, and the combined report."""
 
+import itertools
 import json
 import math
 import os
@@ -691,12 +692,14 @@ class TestNestedCapacity:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("budget, reached", REACHED)
     def test_shared_sweep_stops_partway(self, mode, budget, reached):
-        with pytest.raises(CapacityError) as info:
-            permanent.window_permanents(self.F, self.SCHEDULE.windows[-1], range(4, 13),
-                                        mode, budget)
+        taken = []
+        with pytest.raises(CapacityError):
+            for v in permanent.window_permanents(self.F, self.SCHEDULE.windows[-1],
+                                                 range(4, 13), mode, budget):
+                taken.append(v)
         want = [window_permanent(self.F, F, mode=mode, budget=budget)
                 for F in self.SCHEDULE.windows[:reached]]
-        assert info.value.reached == want
+        assert taken == want
         rows, skipped = per_window(self.F, self.SCHEDULE, budget)
         assert [r.window for r in rows[::2]] == [f"box{n}" for n in range(4, 4 + reached)]
         assert len(skipped) == 2 * (9 - reached)
@@ -715,11 +718,29 @@ class TestNestedCapacity:
     def test_shared_sweep_node_cost(self, mode):
         # the three components' steppers spend 108 nodes on box12's 12 sites
         box12 = self.SCHEDULE.windows[-1]
-        values = permanent.window_permanents(self.F, box12, range(4, 13), mode, 108)
+        values = list(permanent.window_permanents(self.F, box12, range(4, 13), mode, 108))
         assert values == [window_permanent(self.F, F, mode=mode) for F in self.SCHEDULE.windows]
-        with pytest.raises(CapacityError) as info:
-            permanent.window_permanents(self.F, box12, range(4, 13), mode, 107)
-        assert info.value.reached == values[:len(info.value.reached)]
+        taken = []
+        with pytest.raises(CapacityError):
+            for v in permanent.window_permanents(self.F, box12, range(4, 13), mode, 107):
+                taken.append(v)
+        assert taken == values[:len(taken)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reader_that_stops_early_spends_no_later_nodes(self, mode):
+        # boxes 4..6 fit in 40 nodes and box 7 does not: taking three values
+        # runs no row past box 6's cut, so no CapacityError
+        box12 = self.SCHEDULE.windows[-1]
+        first = itertools.islice(permanent.window_permanents(self.F, box12, range(4, 13),
+                                                             mode, 40), 3)
+        assert list(first) == [window_permanent(self.F, F, mode=mode, budget=40)
+                               for F in self.SCHEDULE.windows[:3]]
+        assert [len(F) for F in self.SCHEDULE.windows[:3]] == [4, 5, 6]
+
+    def test_arguments_are_checked_at_the_call(self):
+        with pytest.raises(ValueError, match="mode must be"):
+            permanent.window_permanents(self.F, self.SCHEDULE.windows[-1], range(4, 13),
+                                        "bogus")
 
     def test_report_matches_per_window_calls(self):
         want, skipped = per_window(self.F, self.SCHEDULE, self.BUDGET)

@@ -313,6 +313,13 @@ class TestMahlerRoots:
         with pytest.raises(ValueError):
             mahler_measure_roots(GroupRingElement(2, {(0, 0): 1, (1, 1): 1}))
 
+    def test_degree_cap(self, monkeypatch):
+        # the span from the lowest to the highest term is the degree
+        monkeypatch.setattr(fkdet, "_ROOTS_MAX_DEGREE", 4)
+        assert abs(mahler_measure_roots(poly({-2: 1, 2: 1}))) < 1e-9
+        with pytest.raises(CapacityError, match="degree 5 exceeds the 4 cap"):
+            mahler_measure_roots(poly({-2: 1, 3: 1}))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_reciprocal_when_the_companion_matrix_overflows(self):
         # np.roots would divide by the leading 1e-300; 1e300 u^2 + 1e-300 has
