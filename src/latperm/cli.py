@@ -25,6 +25,8 @@ reproduces the output byte for byte.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import itertools
 import json
 import math
@@ -657,7 +659,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 1 << 30, 32 << 20  # bytes, for glibc mallopt
+
+
+@functools.cache
+def _pin_malloc() -> None:
+    """Keep a sweep's freed row arrays in the heap (see README, Frontier sweep)."""
+    libc = ctypes.CDLL(None) if sys.platform == "linux" else None
+    if hasattr(libc, "gnu_get_libc_version"):  # glibc, not musl
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+        libc.mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; the first call pins glibc's malloc thresholds."""
+    _pin_malloc()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

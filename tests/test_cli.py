@@ -5,7 +5,10 @@ import importlib.util
 import inspect
 import json
 import math
+import os
+import platform
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -921,3 +924,86 @@ class TestGoldenOutput:
     def test_csv(self, capsys, name):
         argv, _, text = GOLDEN_RUNS[name]
         assert run(capsys, argv + ["--format", "csv"]) == (0, text, "")
+
+
+UNIT_DIMER = '{"points": [[1,0], [-1,0], [0,1], [0,-1]]}'
+needs_glibc = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                 reason="the malloc pin acts on glibc only")
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter on this checkout."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+class TestMallocPin:
+    """``cli.main`` fixes glibc's trim and mmap thresholds once per process,
+    so a sweep's freed row arrays stay in the heap between rows and calls;
+    the library alone never touches the host process's allocator."""
+
+    @needs_glibc
+    def test_torus_calls_stop_faulting_in_their_arrays(self):
+        code = (
+            "import contextlib, io, resource\n"
+            "import latperm.cli as cli\n"
+            f"argv = ['periodic', '--inline', {UNIT_DIMER!r}, '--tori', '10x10']\n"
+            "def call():\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "call()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(3):\n"
+            "    call()\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)\n"
+        )
+        assert float(run_fresh(code)) < 1000
+
+    @needs_glibc
+    def test_only_cli_main_pins_and_only_once(self):
+        # the audit hook records every lookup of mallopt through ctypes
+        code = (
+            "import contextlib, io, json, sys\n"
+            "looked_up = []\n"
+            "def hook(event, args):\n"
+            "    if event == 'ctypes.dlsym' and args[1] == 'mallopt':\n"
+            "        looked_up.append(event)\n"
+            "sys.addaudithook(hook)\n"
+            "import latperm, latperm.cli as cli\n"
+            "from latperm import GroupRingElement, TorusQuotient, Window\n"
+            "f = GroupRingElement(2, {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1})\n"
+            "latperm.torus_permanent(f, TorusQuotient((6, 6)))\n"
+            "latperm.window_permanent(f, Window.box([0, 0], [4, 4]))\n"
+            "library = len(looked_up)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for _ in range(2):\n"
+            "        assert cli.main(['periodic', '--inline', '{\"points\": [[0], [1]]}',\n"
+            "                         '--tori', '4']) == 0\n"
+            "print(json.dumps([library, len(looked_up)]))\n"
+        )
+        assert json.loads(run_fresh(code)) == [0, 1]
+
+    @pytest.mark.parametrize("platform_, symbols", [
+        ("linux", {"gnu_get_libc_version", "mallopt"}),
+        ("linux", {"mallopt"}),  # musl has a mallopt that does nothing
+        ("darwin", {"gnu_get_libc_version", "mallopt"}),
+    ], ids=["glibc", "musl", "macos"])
+    def test_thresholds_set_on_glibc_only(self, monkeypatch, platform_, symbols):
+        calls = []
+
+        class Lib:
+            def __getattr__(self, name):
+                if name not in symbols:
+                    raise AttributeError(name)
+                return lambda *args: calls.append((name, args))
+
+        monkeypatch.setattr(cli.sys, "platform", platform_)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Lib())
+        cli._pin_malloc.__wrapped__()
+        glibc = platform_ == "linux" and "gnu_get_libc_version" in symbols
+        assert calls == ([("mallopt", (-1, 1 << 30)), ("mallopt", (-3, 32 << 20))]
+                         if glibc else [])
