@@ -157,19 +157,26 @@ class TestMahlerMeasure:
         ({(-1, 0): 1, (0, 1): 2, (0, -1): 2, (1, 0): -1}, 32),
         ({(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}, 16),
         ({(3, -2, 1): 1.5, (0, 0, 0): -1, (1, 1, 1): 0.25}, 16),
+        # power-of-two grids: the multi-axis terms read phase tables
+        ({(2, -3): 0.7, (1, 1): -1.3, (0, 0): 1}, 128),
+        ({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1, (0, 1, 1, 0): 1, (0, 0, 1, 1): -1,
+          (1, -1, 0, 2): 0.5}, 8),
+        # a table of 4 * 16 * 301 + 1 entries would outgrow the 256 cells
+        ({(1, 300): 1, (0, 0): 2, (1, 0): -1}, 16),
     ])
     def test_torus_abs_matches_phase_sum(self, terms, grid, span):
         # a zero exponent adds an exact 0 to the phase, so skipping its axis
-        # leaves every cell bit-identical. Ranges of span/7 of the cells plus
-        # 3 start and end mid-row; in 2-D and 3-D they hold a partial first
-        # row, whole rows and a partial last row
+        # leaves every cell bit-identical, and a table entry has the bits of
+        # exp of the same phase. Ranges of span/7 of the cells plus 3 start
+        # and end mid-row; in 2-D and 3-D they hold a partial first row,
+        # whole rows and a partial last row
         f = GroupRingElement(len(next(iter(terms))), terms)
         n = grid ** f.dim
         step = span * n // 7 + 3
         bufs = (np.empty(step, complex), np.empty(step, complex), np.empty(step))
+        level = fkdet._phase_tables(sorted(f.terms.items()), f.dim, grid)
         got = np.concatenate([
-            fkdet._fill_abs(sorted(f.terms.items()), f.dim, grid, lo,
-                            min(lo + step, n), bufs).copy()
+            fkdet._fill_abs(level, f.dim, grid, lo, min(lo + step, n), bufs).copy()
             for lo in range(0, n, step)])
         assert np.array_equal(got, oracles.direct_torus_abs(terms, f.dim, grid).ravel())
 
@@ -225,6 +232,13 @@ class TestMahlerMeasure:
         # 48^4 cells: leaves cut rows, and terms move along inner axes
         ({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1, (0, 1, 1, 0): 1, (0, 0, 1, 1): -1,
           (1, -1, 0, 2): 0.5}, 12, 1e-10),
+        # power-of-two grids, where multi-axis terms read phase tables
+        ({(2, -3): 0.7, (1, 1): -1.3, (0, 0): 1}, 128, 1e-10),
+        ({(3, -2, 1): 1.5, (0, 0, 0): -1, (1, 1, 1): 0.25}, 16, 1e-10),
+        ({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1, (0, 1, 1, 0): 1, (0, 0, 1, 1): -1,
+          (1, -1, 0, 2): 0.5}, 8, 1e-10),
+        # the (1, 300) table would outgrow every level, which keeps its exp
+        ({(1, 300): 1, (0, 0): 2, (1, 0): -1}, 16, 1e-10),
     ])
     def test_streamed_levels_bit_identical_to_whole_grid(self, monkeypatch, terms,
                                                          grid, eps, threads):
@@ -235,6 +249,25 @@ class TestMahlerMeasure:
         r = mahler_measure(f, cfg, threads=threads)
         want = oracles.direct_mahler(terms, f.dim, grid, cfg.refinements, eps)
         assert (r.value, r.error_estimate, r.converged, r.levels, r.eps_spread) == want
+
+    @pytest.mark.parametrize("grid, per_cell", [(64, False), (60, True)])
+    def test_power_of_two_levels_take_no_exp_per_cell(self, monkeypatch, grid, per_cell):
+        # exp of a 2-D array is exp per cell; 1-D characters take a 1-D exp.
+        # On 64, 128 and 256 the u1 u2 term reads a table of 4 g * 2 + 1
+        # entries instead, while on the grids 60, 120 and 240 it cannot
+        shapes = []
+        exp = np.exp
+
+        def spy(z, *args, **kwargs):
+            shapes.append(np.shape(z))
+            return exp(z, *args, **kwargs)
+
+        monkeypatch.setattr(fkdet.np, "exp", spy)
+        f = GroupRingElement(2, {(0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): -2})
+        mahler_measure(f, QuadratureConfig(grid=grid))
+        assert any(len(s) == 2 and s[1] > 1 for s in shapes) == per_cell
+        tables = [s for s in shapes if s in [(8 * g + 1,) for g in (64, 128, 256)]]
+        assert len(tables) == (0 if per_cell else 3)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_peak_memory_is_one_float_per_cell(self, monkeypatch, threads):
