@@ -18,8 +18,8 @@ both orientations; or an inexact Ryser padding division).
 
 All output is formatted here: _dump writes every JSON payload and _csv
 every CSV, and both print floats with 12 significant digits and a '.'
-decimal separator. Rerunning the same configuration with any thread count
-reproduces the output byte for byte.
+decimal separator. Rerunning the same configuration reproduces the output
+byte for byte.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ def cmd_permanent(cfg: RunConfig) -> tuple[str, int]:
 def cmd_mahler(cfg: RunConfig) -> tuple[str, int]:
     f = _element(cfg)
     qcfg = QuadratureConfig(grid=cfg.grid, eps=cfg.eps)
-    res = mahler_measure(f, qcfg, threads=cfg.threads)
+    res = mahler_measure(f, qcfg)
     roots = mahler_measure_roots(f) if f.dim == 1 else None
     if cfg.out_format == "csv":
         return _csv(("value", "error_estimate", "converged", "roots_value"),
@@ -340,8 +340,7 @@ def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
     params = dict(FAMILY_DEFAULTS[cfg.family])
     params.update(_parse_params(cfg.params or ""))
     qcfg = QuadratureConfig(grid=cfg.grid, eps=cfg.eps)
-    rep = evaluate_family(cfg.family, params, cfg=qcfg, budget=cfg.budget,
-                          threads=cfg.threads)
+    rep = evaluate_family(cfg.family, params, cfg=qcfg, budget=cfg.budget)
     code = 0
     if rep.capacity_skipped:
         # the output keys stay fixed, so the skipped items are named on stderr
@@ -613,12 +612,13 @@ _FLAGS = {
     "--grid": dict(type=int, help="quadrature grid points per dimension"),
     "--eps": dict(type=float, help="quadrature floor for log singularities"),
     "--format": dict(dest="out_format", choices=("json", "csv")),
-    "--threads": dict(type=int, help="quadrature threads for mahler and compare"),
+    "--threads": dict(type=int, help="accepted unread by pressure, for existing "
+                                     "benchmark command lines"),
     "--budget": dict(type=int, help="node budget before a capacity error"),
 }
 
 # name: (run, help, what --input and --inline hold or None, the _FLAGS it reads);
-# pressure accepts --threads unread, as benchmark command lines still pass it
+# pressure accepts --threads unread, for existing benchmark command lines
 _SUBCOMMANDS = {
     "entropy": (cmd_entropy, "growth-rate report for a displacement set",
                 "displacement set as a window or element",
@@ -628,9 +628,9 @@ _SUBCOMMANDS = {
     "permanent": (cmd_permanent, "pattern sums on a single box window", "weight element",
                   "--windows --format --budget"),
     "mahler": (cmd_mahler, "logarithmic Mahler measure", "Laurent element",
-               "--grid --eps --format --threads"),
+               "--grid --eps --format"),
     "compare": (cmd_compare, "permanent bracket vs determinant value", None,
-                "--params --grid --eps --format --threads --budget"),
+                "--params --grid --eps --format --budget"),
     "periodic": (cmd_periodic, "pattern counts on torus quotients",
                  "displacement set or weight element", "--tori --format --budget"),
     "verify": (cmd_verify, "seeded invariant suite", None, "--budget"),

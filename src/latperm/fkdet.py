@@ -6,7 +6,6 @@ the two sides are compared."""
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +26,9 @@ _EPS_SWEEP = (1e-8, 1e-10, 1e-12)
 # bounds the cells, and so the time, of a level; memory no longer grows with
 # the grid. The 4096^2 finest level of `mahler --grid 1024` takes about 0.3 s
 _GRID_CELL_CAP = 1 << 24
-# cells per leaf of a level's pairwise sum: a worker's leaf buffers take 40
-# bytes a cell. numpy's add-reduce splits no range of 128 cells or fewer, so
-# the cap must be at least 128
+# cells per leaf of a level's pairwise sum: the leaf buffers take 40 bytes a
+# cell. numpy's add-reduce splits no range of 128 cells or fewer, so the cap
+# must be at least 128
 _BLOCK_CELLS = 1 << 15
 # bounds the companion matrix of mahler_measure_roots: np.roots takes about
 # 3 s at degree 1024 and 20 s at 2048
@@ -179,55 +178,39 @@ def _fill_abs(terms, d: int, grid: int, lo: int, hi: int, bufs) -> np.ndarray:
     return np.abs(vals[:n], out=fbuf[:n])
 
 
-def _level_sums(f: GroupRingElement, grid: int, eps_levels, threads: int = 1):
+def _level_sums(f: GroupRingElement, grid: int, eps_levels):
     """Sums over the midpoint grid of log max(|f|, eps), one per eps in the
     ascending eps_levels, each bit-identical to the add-reduce of a whole
-    level array. Each leaf of _pairwise is filled by _fill_abs, floored at
-    the smallest eps, logged and floored at each eps in turn, in place, as
-    log is monotone and max(max(x, a), b) = max(x, b) for a <= b. Workers
-    take every workers-th leaf, each with its own buffers, and the leaf sums
-    are added in tree order, so no sum depends on the thread count.
+    level array. One _pairwise walk fills each leaf by _fill_abs, floors it
+    at the smallest eps, logs it and floors it at each eps in turn, in place,
+    as log is monotone and max(max(x, a), b) = max(x, b) for a <= b; the
+    leaf's per-eps sums are added up the split tree.
 
     On a power-of-two grid each term that moves along two or more axes, the
-    last among them, gets a phase table for the level (_phase_tables), read
-    by every worker and dropped with the level: 4 grid sum |p| + 1 complex
-    entries, 16 bytes each, so 256 KB for 2 + 3u1 + u2 - 2u1u2 at the
-    finest level of grid 512 (2048), and never more than the level's cells."""
+    last among them, gets a phase table for the level (_phase_tables),
+    dropped with the level: 4 grid sum |p| + 1 complex entries, 16 bytes
+    each, so 256 KB for 2 + 3u1 + u2 - 2u1u2 at the finest level of grid 512
+    (2048), and never more than the level's cells."""
     terms = _phase_tables(sorted(f.terms.items()), f.dim, grid)
     floors = [np.log(eps) for eps in eps_levels]
-    leaves = _pairwise(0, grid ** f.dim, lambda lo, hi: [(lo, hi)])
+    cells = grid ** f.dim
+    # no leaf is longer than the cap or the level
+    size = min(cells, _BLOCK_CELLS)
+    bufs = (np.empty(size, complex), np.empty(size, complex), np.empty(size))
 
-    def run(share):
-        size = max(hi - lo for lo, hi in share)
-        bufs = (np.empty(size, complex), np.empty(size, complex), np.empty(size))
-        sums = []
-        for lo, hi in share:
-            logs = _fill_abs(terms, f.dim, grid, lo, hi, bufs)
-            np.maximum(logs, eps_levels[0], out=logs)
-            np.log(logs, out=logs)
-            sums.append([float(np.add.reduce(np.maximum(logs, fl, out=logs),
+    def leaf(lo, hi):
+        logs = _fill_abs(terms, f.dim, grid, lo, hi, bufs)
+        np.maximum(logs, eps_levels[0], out=logs)
+        np.log(logs, out=logs)
+        return np.array([float(np.add.reduce(np.maximum(logs, fl, out=logs),
                                              initial=0.0)) for fl in floors])
-        return sums
 
-    # no more workers than cores: a huge --threads must not start a thread per
-    # leaf (os.cpu_count reads a file, so one thread skips it)
-    workers = min(threads, os.cpu_count() or 1, len(leaves)) if threads > 1 else 1
-    if workers > 1:
-        # imported here, as it loads logging, which serial runs never need
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shares = list(pool.map(run, [leaves[i::workers] for i in range(workers)]))
-        sums = iter([shares[i % workers][i // workers] for i in range(len(leaves))])
-    else:
-        sums = iter(run(leaves))
-    return _pairwise(0, grid ** f.dim, lambda lo, hi: np.array(next(sums)))
+    return _pairwise(0, cells, leaf)
 
 
 def mahler_measure(
     f: GroupRingElement,
     cfg: QuadratureConfig = QuadratureConfig(),
-    threads: int = 1,
 ) -> MahlerResult:
     """Mean of log|f| over the torus by midpoint quadrature on refined grids.
 
@@ -236,9 +219,10 @@ def mahler_measure(
     sweep to the last refinement difference, and Richardson-style
     extrapolation is applied when the differences shrink geometrically.
     Every grid level is checked against the cell cap before any runs. A
-    level is summed leaf by leaf in numpy's pairwise order (_level_sums), so
-    no array spans the grid and each level is bit-identical to the mean of
-    a whole level array; memory stays a few MB whatever the grid.
+    level is summed in one serial walk of its leaves, in numpy's pairwise
+    order (_level_sums), so no array spans the grid and each level is
+    bit-identical to the mean of a whole level array; memory stays a few MB
+    whatever the grid.
     When max |c| < 1, where the eps floor must be relative, or sum |c| >=
     2^1000, where the terms could sum to inf, the levels are taken on g,
     f = 2^k g from f.unit_scale(), and k log 2 goes back onto each level.
@@ -256,7 +240,7 @@ def mahler_measure(
     eps_levels = sorted(set(_EPS_SWEEP) | {cfg.eps})
     values = {eps: [] for eps in eps_levels}
     for g in grids:
-        for eps, total in zip(eps_levels, _level_sums(f, g, eps_levels, threads)):
+        for eps, total in zip(eps_levels, _level_sums(f, g, eps_levels)):
             values[eps].append(float(total) / g ** f.dim + k * math.log(2))
     main = values[cfg.eps]
     diffs = [b - a for a, b in zip(main, main[1:])]
@@ -481,7 +465,6 @@ def evaluate_family(
     params: dict,
     cfg: QuadratureConfig = QuadratureConfig(),
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> FamilyReport:
     """Evaluate the permanent and determinant sides of one family member.
 
@@ -490,8 +473,7 @@ def evaluate_family(
     matrix in dimension one and a window/torus bracket in dimension two, on
     the boxes 2, 4 and 6 and the separated square tori up to 4."""
     inst = family_instance(family, params)
-    det_results = tuple(mahler_measure(g, cfg, threads=threads)
-                        for g in inst.det_elements)
+    det_results = tuple(mahler_measure(g, cfg) for g in inst.det_elements)
     det_value = max(r.value for r in det_results)
     det_error = max(r.error_estimate for r in det_results)
     if inst.dim == 1:

@@ -106,8 +106,8 @@ READS = {
     "entropy": ELEMENT | {"--windows", "--tori", "--format", "--budget"},
     "pressure": ELEMENT | {"--windows", "--tori", "--format", "--budget", "--threads"},
     "permanent": ELEMENT | {"--windows", "--format", "--budget"},
-    "mahler": ELEMENT | {"--grid", "--eps", "--format", "--threads"},
-    "compare": {"--grid", "--eps", "--format", "--budget", "--threads"},
+    "mahler": ELEMENT | {"--grid", "--eps", "--format"},
+    "compare": {"--grid", "--eps", "--format", "--budget"},
     "periodic": ELEMENT | {"--tori", "--format", "--budget"},
     "verify": {"--budget"},
 }

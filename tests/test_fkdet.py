@@ -2,7 +2,6 @@
 finite inequality det <= iper^2, example families, and the constant-sign
 facts of signed pattern terms."""
 
-import concurrent.futures
 import gc
 import math
 import tracemalloc
@@ -97,38 +96,6 @@ class TestMahlerMeasure:
         r = mahler_measure(f, CFG)
         assert abs(r.value - oracle) < 1e-6
 
-    def test_threads_bit_identical(self):
-        f = GroupRingElement(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): -1})
-        assert mahler_measure(f, CFG).value == mahler_measure(f, CFG, threads=3).value
-
-    @pytest.mark.parametrize("cores, pools", [(4, [4]), (None, [])])
-    def test_thread_pool_capped_at_cores(self, monkeypatch, cores, pools):
-        # a fake pool records its size and runs the chunks serially
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(fkdet.os, "cpu_count", lambda: cores)
-        # 128^2 cells make 16 leaves of 1024, more than the cores
-        monkeypatch.setattr(fkdet, "_BLOCK_CELLS", 1024)
-        f = GroupRingElement(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): -1})
-        eps_levels = sorted(fkdet._EPS_SWEEP)
-        got = fkdet._level_sums(f, 128, eps_levels, threads=64)
-        assert started == pools
-        assert np.array_equal(got, fkdet._level_sums(f, 128, eps_levels))
-
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             mahler_measure(GroupRingElement(1, {}), CFG)
@@ -214,7 +181,6 @@ class TestMahlerMeasure:
         assert abs(r.value - mahler_measure_roots(f)) <= 1e-9
         assert all(abs(v - r.value) <= 1e-9 for _, v in r.levels)
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("terms,grid,eps", [
         # 1200^2 and 96^3 cells split into blocks of unequal row counts
         ({(0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): -2}, 300, 1e-9),
@@ -240,13 +206,10 @@ class TestMahlerMeasure:
         # the (1, 300) table would outgrow every level, which keeps its exp
         ({(1, 300): 1, (0, 0): 2, (1, 0): -1}, 16, 1e-10),
     ])
-    def test_streamed_levels_bit_identical_to_whole_grid(self, monkeypatch, terms,
-                                                         grid, eps, threads):
-        # more cores than threads, so threads=3 runs three workers anywhere
-        monkeypatch.setattr(fkdet.os, "cpu_count", lambda: 8)
+    def test_streamed_levels_bit_identical_to_whole_grid(self, terms, grid, eps):
         f = GroupRingElement(len(next(iter(terms))), terms)
         cfg = QuadratureConfig(grid=grid, eps=eps)
-        r = mahler_measure(f, cfg, threads=threads)
+        r = mahler_measure(f, cfg)
         want = oracles.direct_mahler(terms, f.dim, grid, cfg.refinements, eps)
         assert (r.value, r.error_estimate, r.converged, r.levels, r.eps_spread) == want
 
@@ -269,15 +232,13 @@ class TestMahlerMeasure:
         tables = [s for s in shapes if s in [(8 * g + 1,) for g in (64, 128, 256)]]
         assert len(tables) == (0 if per_cell else 3)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_peak_memory_is_one_float_per_cell(self, monkeypatch, threads):
-        # the finest level, 1024^2, takes 8 bytes a cell; the blocks in flight
+    def test_peak_memory_is_one_float_per_cell(self):
+        # the finest level, 1024^2, takes 8 bytes a cell; the leaf buffers
         # and everything else fit in a fixed 8 MB
-        monkeypatch.setattr(fkdet.os, "cpu_count", lambda: 2)
         f = GroupRingElement(2, {(0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): -2})
         tracemalloc.start()
         try:
-            mahler_measure(f, QuadratureConfig(grid=256), threads=threads)
+            mahler_measure(f, QuadratureConfig(grid=256))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -293,39 +254,34 @@ class TestMahlerMeasure:
         # smaller leaves make a deeper split tree, with leaves shorter than a
         # row of 1200 cells; the tree sum still equals numpy's whole-level sum
         monkeypatch.setattr(fkdet, "_BLOCK_CELLS", cap)
-        monkeypatch.setattr(fkdet.os, "cpu_count", lambda: 2)
         f = GroupRingElement(len(next(iter(terms))), terms)
         cfg = QuadratureConfig(grid=grid)
-        r = mahler_measure(f, cfg, threads=2)
+        r = mahler_measure(f, cfg)
         want = oracles.direct_mahler(terms, f.dim, grid, cfg.refinements, cfg.eps)
         assert (r.value, r.error_estimate, r.converged, r.levels, r.eps_spread) == want
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("grid", [256, 512])
-    def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch, grid, threads):
-        # each worker holds 40 bytes a leaf cell; a level array of 8 bytes a
-        # cell would take 8 MB at grid 256 and 32 MB at grid 512
-        monkeypatch.setattr(fkdet.os, "cpu_count", lambda: 2)
+    def test_peak_memory_does_not_grow_with_the_grid(self, grid):
+        # the leaf buffers take 40 bytes a leaf cell; a level array of 8 bytes
+        # a cell would take 8 MB at grid 256 and 32 MB at grid 512
         f = GroupRingElement(2, {(0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): -2})
         tracemalloc.start()
         try:
-            mahler_measure(f, QuadratureConfig(grid=grid), threads=threads)
+            mahler_measure(f, QuadratureConfig(grid=grid))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 4 << 20
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_no_memory_waits_for_the_cyclic_gc(self, monkeypatch, threads):
+    def test_no_memory_waits_for_the_cyclic_gc(self):
         # a reference cycle through the leaf buffers would hold them until a
         # collection
-        monkeypatch.setattr(fkdet.os, "cpu_count", lambda: 2)
         f = GroupRingElement(2, {(0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): -2})
         gc.disable()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            mahler_measure(f, QuadratureConfig(grid=256), threads=threads)
+            mahler_measure(f, QuadratureConfig(grid=256))
             after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
