@@ -206,7 +206,13 @@ class TestMahlerMeasure:
         # the (1, 300) table would outgrow every level, which keeps its exp
         ({(1, 300): 1, (0, 0): 2, (1, 0): -1}, 16, 1e-10),
     ])
-    def test_streamed_levels_bit_identical_to_whole_grid(self, terms, grid, eps):
+    # the default leaf cap and two smaller ones, one not a power of two, walk
+    # different split trees with leaves of unequal lengths through one set of
+    # buffers; every level still equals numpy's whole-level sum
+    @pytest.mark.parametrize("cap", [fkdet._BLOCK_CELLS, 4096, 1000])
+    def test_streamed_levels_bit_identical_to_whole_grid(self, monkeypatch, terms,
+                                                         grid, eps, cap):
+        monkeypatch.setattr(fkdet, "_BLOCK_CELLS", cap)
         f = GroupRingElement(len(next(iter(terms))), terms)
         cfg = QuadratureConfig(grid=grid, eps=eps)
         r = mahler_measure(f, cfg)
@@ -260,10 +266,13 @@ class TestMahlerMeasure:
         want = oracles.direct_mahler(terms, f.dim, grid, cfg.refinements, cfg.eps)
         assert (r.value, r.error_estimate, r.converged, r.levels, r.eps_spread) == want
 
+    @pytest.mark.parametrize("cap", [fkdet._BLOCK_CELLS, 1024])
     @pytest.mark.parametrize("grid", [256, 512])
-    def test_peak_memory_does_not_grow_with_the_grid(self, grid):
+    def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch, grid, cap):
         # the leaf buffers take 40 bytes a leaf cell; a level array of 8 bytes
-        # a cell would take 8 MB at grid 256 and 32 MB at grid 512
+        # a cell would take 8 MB at grid 256 and 32 MB at grid 512. A cap of
+        # 1024 walks 4096 leaves of the 2048^2 level through the same buffers
+        monkeypatch.setattr(fkdet, "_BLOCK_CELLS", cap)
         f = GroupRingElement(2, {(0, 0): 2, (1, 0): 3, (0, 1): 1, (1, 1): -2})
         tracemalloc.start()
         try:
@@ -287,6 +296,28 @@ class TestMahlerMeasure:
             tracemalloc.stop()
             gc.enable()
         assert after - before <= 0.1 * 2 ** 20
+
+
+class TestPairwise:
+    @pytest.mark.parametrize("cap", [128, 1000, 1 << 15])
+    @pytest.mark.parametrize("n", [129, 1001, 65537, 100003])
+    def test_tree_sum_of_leaf_sums_is_the_whole_add_reduce(self, monkeypatch, n, cap):
+        # magnitudes from 1e-8 to 1e8, so any other order of additions
+        # changes the low bits
+        monkeypatch.setattr(fkdet, "_BLOCK_CELLS", cap)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        leaves = []
+
+        def leaf(lo, hi):
+            leaves.append((lo, hi))
+            return float(np.add.reduce(x[lo:hi], initial=0.0))
+
+        assert fkdet._pairwise(0, n, leaf) == float(np.add.reduce(x))
+        # the leaves tile the range in order, none longer than the cap
+        assert [lo for lo, _ in leaves] == [0] + [hi for _, hi in leaves[:-1]]
+        assert leaves[-1][1] == n
+        assert all(0 < hi - lo <= cap for lo, hi in leaves)
 
 
 class TestMahlerRoots:
