@@ -21,7 +21,6 @@ from .fkdet import (
     QuadratureConfig,
     evaluate_family,
     family_instance,
-    fk_finite_sections,
     mahler_measure,
     mahler_measure_roots,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "evaluate_family",
     "family_instance",
     "finite_det_ffstar",
-    "fk_finite_sections",
     "interior",
     "mahler_measure",
     "mahler_measure_roots",

@@ -47,7 +47,7 @@ from .entropy import (
     transfer_pressure,
 )
 from .fkdet import (
-    FAMILY_DEFAULTS,
+    FAMILIES,
     QuadratureConfig,
     evaluate_family,
     mahler_measure,
@@ -334,10 +334,10 @@ def cmd_mahler(cfg: RunConfig) -> tuple[str, int]:
 def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
     if not cfg.family:
         raise ValueError("compare needs a family name")
-    if cfg.family not in FAMILY_DEFAULTS:
-        known = ", ".join(sorted(FAMILY_DEFAULTS))
+    if cfg.family not in FAMILIES:
+        known = ", ".join(sorted(FAMILIES))
         raise ValueError(f"unknown family {cfg.family!r} (known: {known})")
-    params = dict(FAMILY_DEFAULTS[cfg.family])
+    params = dict(FAMILIES[cfg.family].defaults)
     params.update(_parse_params(cfg.params or ""))
     qcfg = QuadratureConfig(grid=cfg.grid, eps=cfg.eps)
     rep = evaluate_family(cfg.family, params, cfg=qcfg, budget=cfg.budget)
@@ -653,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--inline", metavar="JSON", help=element + " (inline JSON)")
             sp.add_argument("--dim", type=int, help="expected dimension, checked against the input")
         if name == "compare":
-            sp.add_argument("family", help="one of: " + ", ".join(sorted(FAMILY_DEFAULTS)))
+            sp.add_argument("family", help="one of: " + ", ".join(sorted(FAMILIES)))
         for flag in flags.split():
             sp.add_argument(flag, **_FLAGS[flag])
     return parser

@@ -1,18 +1,17 @@
 """Determinant-side computations: logarithmic Mahler measures by torus
-quadrature (with an exact root-based route in dimension one), finite
-determinant sections of f f^*, and the worked example families on which
-the two sides are compared."""
+quadrature (with an exact root-based route in dimension one), and the
+worked example families on which the two sides are compared."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .groupring import CapacityError, GroupRingElement
 from .patterns import DEFAULT_BUDGET
-from .permanent import ffstar_section_matrix
 from .entropy import (
     WindowSchedule,
     default_tori,
@@ -329,49 +328,47 @@ def _merge_multiple_roots(coeffs, roots: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# finite sections
-
-
-@dataclass(frozen=True)
-class SectionRow:
-    """One finite determinant section: (1/(2|F|)) log det of the ff* block."""
-
-    window: str
-    size: int
-    value: float
-
-
-def fk_finite_sections(f: GroupRingElement, schedule: WindowSchedule) -> list[SectionRow]:
-    """Normalized log determinants of f f^* compressions along the schedule.
-
-    A section whose determinant is nonpositive after floating point is
-    recorded as -inf rather than raising.
-    """
-    if f.is_zero():
-        raise ValueError("finite sections of the zero element are undefined")
-    rows = []
-    for label, F in schedule:
-        M = ffstar_section_matrix(f, F)
-        sign, logabs = np.linalg.slogdet(M)
-        if sign > 0 and np.isfinite(logabs):
-            value = logabs / (2 * len(F))
-        else:
-            value = float("-inf")
-        rows.append(SectionRow(label, len(F), value))
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # example families
 
 
-FAMILY_DEFAULTS = {
-    "trinomial-Z": {"a": 1.0, "b": 1.0, "c": 1.0},
-    "three-point-Z": {"a": 1.0, "b": 1.0, "c": 1.0, "K": 3},
-    "four-point-Z": {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, "K": 3},
-    "affine-Z2": {"a": 1.0, "b": 1.0, "c": 1.0},
-    "quad-Z2": {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
-    "dimer": {"a": 1.0, "b": 1.0},
+class Family(NamedTuple):
+    """A compare family: a nonnegative f and its signed representatives f',
+    each with |f'| = f.
+
+    defaults holds the parameters and their defaults, in order, and K_floor
+    K's least value, None where there is no K. terms(K) gives f's terms as
+    (exponent, parameter) pairs, in insertion order. Each string in signs is
+    one representative, one sign per term of f."""
+
+    defaults: dict
+    K_floor: int | None
+    terms: Callable[[int | None], list]
+    signs: tuple[str, ...]
+
+
+FAMILIES = {
+    "trinomial-Z": Family(
+        {"a": 1.0, "b": 1.0, "c": 1.0}, None,
+        lambda K: [((2,), "a"), ((1,), "b"), ((0,), "c")], ("++-",)),
+    "three-point-Z": Family(
+        {"a": 1.0, "b": 1.0, "c": 1.0, "K": 3}, 2,
+        lambda K: [((K,), "a"), ((K - 1,), "b"), ((0,), "c")], ("++-", "+++")),
+    "four-point-Z": Family(
+        {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, "K": 3}, 3,
+        lambda K: [((K,), "a"), ((K - 1,), "b"), ((1,), "c"), ((0,), "d")],
+        ("+++-", "++-+")),
+    "affine-Z2": Family(
+        {"a": 1.0, "b": 1.0, "c": 1.0}, None,
+        lambda K: [((0, 0), "a"), ((1, 0), "b"), ((0, 1), "c")], ("+++",)),
+    "quad-Z2": Family(
+        {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}, None,
+        lambda K: [((0, 0), "a"), ((1, 0), "b"), ((0, 1), "c"), ((1, 1), "d")],
+        ("+++-", "+-++")),
+    # the Kasteleyn signs
+    "dimer": Family(
+        {"a": 1.0, "b": 1.0}, None,
+        lambda K: [((1, 0), "a"), ((-1, 0), "a"), ((0, 1), "b"), ((0, -1), "b")],
+        ("-+++",)),
 }
 
 
@@ -392,51 +389,31 @@ class FamilyInstance:
 
 def family_instance(family: str, params: dict) -> FamilyInstance:
     """Build a family member from its parameter dict, validating ranges."""
-    if family not in FAMILY_DEFAULTS:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    names = tuple(FAMILY_DEFAULTS[family])
+    row = FAMILIES[family]
+    names = tuple(row.defaults)
     if set(params) != set(names):
         raise ValueError(f"family {family} needs parameters {names}")
     vals = {k: params[k] for k in names}
     for k in names:
-        if k == "K":
-            continue
-        if not vals[k] > 0:
+        if k != "K" and not vals[k] > 0:
             raise ValueError(f"parameter {k} must be positive")
-    if "K" in names:
+    if row.K_floor is not None:
         K = vals["K"]
-        floor = 2 if family == "three-point-Z" else 3
-        if K != int(K) or K < floor:
-            raise ValueError(f"K must be an integer >= {floor}")
-        vals["K"] = K = int(K)
+        if K != int(K) or K < row.K_floor:
+            raise ValueError(f"K must be an integer >= {row.K_floor}")
+        vals["K"] = int(K)
+    terms = row.terms(vals.get("K"))
 
-    a = vals.get("a")
-    b = vals.get("b")
-    c = vals.get("c")
-    d = vals.get("d")
-    if family == "trinomial-Z":
-        perm = GroupRingElement(1, {(2,): a, (1,): b, (0,): c})
-        dets = (GroupRingElement(1, {(2,): a, (1,): b, (0,): -c}),)
-    elif family == "three-point-Z":
-        perm = GroupRingElement(1, {(K,): a, (K - 1,): b, (0,): c})
-        dets = (GroupRingElement(1, {(K,): a, (K - 1,): b, (0,): -c}),
-                GroupRingElement(1, {(K,): a, (K - 1,): b, (0,): c}))
-    elif family == "four-point-Z":
-        perm = GroupRingElement(1, {(K,): a, (K - 1,): b, (1,): c, (0,): d})
-        dets = (GroupRingElement(1, {(K,): a, (K - 1,): b, (1,): c, (0,): -d}),
-                GroupRingElement(1, {(K,): a, (K - 1,): b, (1,): -c, (0,): d}))
-    elif family == "affine-Z2":
-        perm = GroupRingElement(2, {(0, 0): a, (1, 0): b, (0, 1): c})
-        dets = (perm,)
-    elif family == "quad-Z2":
-        perm = GroupRingElement(2, {(0, 0): a, (1, 0): b, (0, 1): c, (1, 1): d})
-        dets = (GroupRingElement(2, {(0, 0): a, (1, 0): b, (0, 1): c, (1, 1): -d}),
-                GroupRingElement(2, {(0, 0): a, (1, 0): -b, (0, 1): c, (1, 1): d}))
-    else:
-        perm = GroupRingElement(2, {(1, 0): a, (-1, 0): a, (0, 1): b, (0, -1): b})
-        dets = (GroupRingElement(2, {(-1, 0): a, (0, 1): b, (0, -1): b, (1, 0): -a}),)
+    def signed(signs: str) -> GroupRingElement:
+        return GroupRingElement(len(terms[0][0]), {
+            p: vals[k] if s == "+" else -vals[k]
+            for (p, k), s in zip(terms, signs, strict=True)})
+
+    perm = signed("+" * len(terms))
     ordered = tuple((k, float(vals[k])) for k in names)
-    return FamilyInstance(family, ordered, perm.dim, perm, dets)
+    return FamilyInstance(family, ordered, perm.dim, perm, tuple(map(signed, row.signs)))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import pytest
 import latperm.cli as cli
 import latperm.entropy as entropy
 from latperm.cli import RunConfig, build_parser, main, parse_tori, parse_windows
-from latperm.fkdet import QuadratureConfig
+from latperm.fkdet import FAMILIES, QuadratureConfig
 from latperm.groupring import CapacityError, GroupRingElement, Window
 from latperm.patterns import DEFAULT_BUDGET
 from latperm.permanent import window_permanent
@@ -460,6 +460,15 @@ class TestCompare:
         payload = json.loads(out)
         assert payload["params"] == {"a": 1.0, "b": 2.0, "c": 1.0}
 
+    def test_help_names_every_family(self, capsys, monkeypatch):
+        # wide enough that argparse wraps no family name
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as e:
+            main(["compare", "-h"])
+        assert e.value.code == 0
+        out = capsys.readouterr().out
+        assert "one of: " + ", ".join(sorted(FAMILIES)) in out
+
     def test_unknown_family_exit_2(self, capsys):
         code, _, err = run(capsys, ["compare", "pentomino"])
         assert code == 2
@@ -790,9 +799,10 @@ def test_readme_flag_table_matches_parser():
 
 TWO_POINT_WEIGHT_2 = '{"dim":1,"terms":[{"exp":[0],"coef":2},{"exp":[1],"coef":2}]}'
 
-# one small run per subcommand: (argv, JSON payload, CSV text). A payload is
-# a Python literal; json.dumps(payload, indent=2) gives the CLI's JSON bytes,
-# float reprs, integer values and key order included
+# one small run per subcommand, and per compare family: (argv, JSON payload,
+# CSV text). A payload is a Python literal; json.dumps(payload, indent=2)
+# gives the CLI's JSON bytes, float reprs, integer values and key order
+# included
 GOLDEN_RUNS = {
     "entropy": (
         ["entropy", "--inline", TWO_POINT, "--windows", "2", "--tori", "4"],
@@ -897,6 +907,80 @@ GOLDEN_RUNS = {
         "trinomial-Z,a=2;b=1;c=1,0.69314718056,0.69314718056,0.693620097788,"
         "0.0216618030523\n",
     ),
+    "compare-three-point-Z": (
+        ["compare", "three-point-Z", "--grid", "8"],
+        {"command": "compare", "family": "three-point-Z",
+         "params": {"a": 1.0, "b": 1.0, "c": 1.0, "K": 3.0},
+         "per_estimate_low": 0.38224508584,
+         "per_estimate_high": 0.38224508584,
+         "per_label": "transfer-exact",
+         "det_value": 0.382119251397,
+         "det_error_estimate": 0.00531660337237,
+         "det_values": [0.28015356013, 0.382119251397],
+         "torus_max": None},
+        "family,params,per_estimate_low,per_estimate_high,det_value,det_error_estimate\n"
+        "three-point-Z,a=1;b=1;c=1;K=3,0.38224508584,0.38224508584,0.382119251397,"
+        "0.00531660337237\n",
+    ),
+    "compare-four-point-Z": (
+        ["compare", "four-point-Z", "--grid", "8"],
+        {"command": "compare", "family": "four-point-Z",
+         "params": {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, "K": 3.0},
+         "per_estimate_low": 0.609377863436,
+         "per_estimate_high": 0.609377863436,
+         "per_label": "transfer-exact",
+         "det_value": 0.609250544887,
+         "det_error_estimate": 0.000924419655405,
+         "det_values": [0.609250544887, 0.609250544887],
+         "torus_max": None},
+        "family,params,per_estimate_low,per_estimate_high,det_value,det_error_estimate\n"
+        "four-point-Z,a=1;b=1;c=1;d=1;K=3,0.609377863436,0.609377863436,0.609250544887,"
+        "0.000924419655405\n",
+    ),
+    "compare-affine-Z2": (
+        ["compare", "affine-Z2", "--grid", "8"],
+        {"command": "compare", "family": "affine-Z2",
+         "params": {"a": 1.0, "b": 1.0, "c": 1.0},
+         "per_estimate_low": 0.0986122886681,
+         "per_estimate_high": 0.507392018436,
+         "per_label": "certified-bracket",
+         "det_value": 0.323068714948,
+         "det_error_estimate": 0.000198826064801,
+         "det_values": [0.323068714948],
+         "torus_max": 0.549306144334},
+        "family,params,per_estimate_low,per_estimate_high,det_value,det_error_estimate\n"
+        "affine-Z2,a=1;b=1;c=1,0.0986122886681,0.507392018436,0.323068714948,"
+        "0.000198826064801\n",
+    ),
+    "compare-quad-Z2": (
+        ["compare", "quad-Z2", "--grid", "8"],
+        {"command": "compare", "family": "quad-Z2",
+         "params": {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
+         "per_estimate_low": 0.38629436112,
+         "per_estimate_high": 0.777087685225,
+         "per_label": "certified-bracket",
+         "det_value": 0.583099285541,
+         "det_error_estimate": 0.002009479347,
+         "det_values": [0.583099285541, 0.583099285541],
+         "torus_max": 0.794513457587},
+        "family,params,per_estimate_low,per_estimate_high,det_value,det_error_estimate\n"
+        "quad-Z2,a=1;b=1;c=1;d=1,0.38629436112,0.777087685225,0.583099285541,"
+        "0.002009479347\n",
+    ),
+    "compare-dimer": (
+        ["compare", "dimer", "--grid", "8"],
+        {"command": "compare", "family": "dimer",
+         "params": {"a": 1.0, "b": 1.0},
+         "per_estimate_low": 0.38629436112,
+         "per_estimate_high": 0.917570181315,
+         "per_label": "certified-bracket",
+         "det_value": 0.583225869985,
+         "det_error_estimate": 0.00415057995676,
+         "det_values": [0.583225869985],
+         "torus_max": 0.700725258287},
+        "family,params,per_estimate_low,per_estimate_high,det_value,det_error_estimate\n"
+        "dimer,a=1;b=1,0.38629436112,0.917570181315,0.583225869985,0.00415057995676\n",
+    ),
     "periodic": (
         ["periodic", "--inline", TWO_POINT, "--tori", "4..5"],
         {"command": "periodic", "dim": 1,
@@ -913,7 +997,8 @@ GOLDEN_RUNS = {
 
 
 class TestGoldenOutput:
-    """Byte-exact stdout of one small run per subcommand, in both formats."""
+    """Byte-exact stdout of one small run per subcommand and per compare
+    family, in both formats."""
 
     @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
     def test_json(self, capsys, name):

@@ -3,8 +3,10 @@ finite inequality det <= iper^2, example families, and the constant-sign
 facts of signed pattern terms."""
 
 import gc
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -20,7 +22,6 @@ from latperm.fkdet import (
     QuadratureConfig,
     evaluate_family,
     family_instance,
-    fk_finite_sections,
     mahler_measure,
     mahler_measure_roots,
 )
@@ -29,6 +30,13 @@ from latperm.permanent import window_permanent
 
 GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 CFG = QuadratureConfig()
+
+# finite determinant sections live with their one caller, the script
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "section_convergence.py"
+_spec = importlib.util.spec_from_file_location("section_convergence", _SCRIPT)
+section_convergence = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(section_convergence)
+fk_finite_sections = section_convergence.fk_finite_sections
 
 
 def poly(coeffs: dict) -> GroupRingElement:
@@ -445,7 +453,91 @@ class TestPerVsDet:
         assert per_vs_det(f, n)[2]
 
 
+# per family, at its defaults and at one override set: the parameters, f's
+# terms in insertion order, and each signed representative's terms
+PINNED = [
+    ("trinomial-Z", {"a": 1.0, "b": 1.0, "c": 1.0},
+     [((2,), 1.0), ((1,), 1.0), ((0,), 1.0)],
+     [{(2,): 1.0, (1,): 1.0, (0,): -1.0}]),
+    ("trinomial-Z", {"a": 2, "b": 2.5, "c": 3},
+     [((2,), 2), ((1,), 2.5), ((0,), 3)],
+     [{(2,): 2, (1,): 2.5, (0,): -3}]),
+    ("three-point-Z", {"a": 1.0, "b": 1.0, "c": 1.0, "K": 3},
+     [((3,), 1.0), ((2,), 1.0), ((0,), 1.0)],
+     [{(3,): 1.0, (2,): 1.0, (0,): -1.0}, {(3,): 1.0, (2,): 1.0, (0,): 1.0}]),
+    ("three-point-Z", {"a": 2, "b": 2.5, "c": 3, "K": 5.0},
+     [((5,), 2), ((4,), 2.5), ((0,), 3)],
+     [{(5,): 2, (4,): 2.5, (0,): -3}, {(5,): 2, (4,): 2.5, (0,): 3}]),
+    ("four-point-Z", {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, "K": 3},
+     [((3,), 1.0), ((2,), 1.0), ((1,), 1.0), ((0,), 1.0)],
+     [{(3,): 1.0, (2,): 1.0, (1,): 1.0, (0,): -1.0},
+      {(3,): 1.0, (2,): 1.0, (1,): -1.0, (0,): 1.0}]),
+    ("four-point-Z", {"a": 2, "b": 2.5, "c": 3, "d": 0.5, "K": 6},
+     [((6,), 2), ((5,), 2.5), ((1,), 3), ((0,), 0.5)],
+     [{(6,): 2, (5,): 2.5, (1,): 3, (0,): -0.5},
+      {(6,): 2, (5,): 2.5, (1,): -3, (0,): 0.5}]),
+    ("affine-Z2", {"a": 1.0, "b": 1.0, "c": 1.0},
+     [((0, 0), 1.0), ((1, 0), 1.0), ((0, 1), 1.0)],
+     [{(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0}]),
+    ("affine-Z2", {"a": 2, "b": 2.5, "c": 3},
+     [((0, 0), 2), ((1, 0), 2.5), ((0, 1), 3)],
+     [{(0, 0): 2, (1, 0): 2.5, (0, 1): 3}]),
+    ("quad-Z2", {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
+     [((0, 0), 1.0), ((1, 0), 1.0), ((0, 1), 1.0), ((1, 1), 1.0)],
+     [{(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0, (1, 1): -1.0},
+      {(0, 0): 1.0, (1, 0): -1.0, (0, 1): 1.0, (1, 1): 1.0}]),
+    ("quad-Z2", {"a": 2, "b": 2.5, "c": 3, "d": 0.5},
+     [((0, 0), 2), ((1, 0), 2.5), ((0, 1), 3), ((1, 1), 0.5)],
+     [{(0, 0): 2, (1, 0): 2.5, (0, 1): 3, (1, 1): -0.5},
+      {(0, 0): 2, (1, 0): -2.5, (0, 1): 3, (1, 1): 0.5}]),
+    ("dimer", {"a": 1.0, "b": 1.0},
+     [((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)],
+     [{(1, 0): -1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}]),
+    ("dimer", {"a": 2, "b": 2.5},
+     [((1, 0), 2), ((-1, 0), 2), ((0, 1), 2.5), ((0, -1), 2.5)],
+     [{(1, 0): -2, (-1, 0): 2, (0, 1): 2.5, (0, -1): 2.5}]),
+]
+# K's least value, per family that has K
+K_FLOORS = {"three-point-Z": 2, "four-point-Z": 3}
+
+
+def typed(terms) -> list:
+    """(exponent, coefficient, type) per term, in the given order."""
+    return [(p, c, type(c)) for p, c in terms]
+
+
 class TestFamilies:
+    @pytest.mark.parametrize("family,params,perm,reps", PINNED)
+    def test_pinned_terms_and_representatives(self, family, params, perm, reps):
+        inst = family_instance(family, params)
+        assert inst.params == tuple((k, float(v)) for k, v in params.items())
+        assert inst.dim == len(perm[0][0])
+        assert typed(inst.permanent_element.terms.items()) == typed(perm)
+        # a representative's own term order is not part of its value
+        assert [sorted(typed(g.terms.items())) for g in inst.det_elements] == \
+            [sorted(typed(r.items())) for r in reps]
+        for g in inst.det_elements:
+            assert g.abs() == inst.permanent_element
+
+    @pytest.mark.parametrize("family", sorted({fam for fam, *_ in PINNED}))
+    def test_K_floor_message(self, family):
+        params = next(p for fam, p, *_ in PINNED if fam == family)
+        if family not in K_FLOORS:
+            with pytest.raises(ValueError, match="needs parameters"):
+                family_instance(family, {**params, "K": 3})
+            return
+        floor = K_FLOORS[family]
+        family_instance(family, {**params, "K": floor})
+        for K in (floor - 1, floor + 0.5):
+            with pytest.raises(ValueError) as e:
+                family_instance(family, {**params, "K": K})
+            assert str(e.value) == f"K must be an integer >= {floor}"
+
+    def test_pinned_cover_the_table(self):
+        assert {fam for fam, *_ in PINNED} == set(fkdet.FAMILIES)
+        assert {fam for fam, row in fkdet.FAMILIES.items()
+                if row.K_floor is not None} == set(K_FLOORS)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             family_instance("pentagon", {"a": 1})
