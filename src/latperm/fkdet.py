@@ -397,6 +397,8 @@ def family_instance(family: str, params: dict) -> FamilyInstance:
         raise ValueError(f"family {family} needs parameters {names}")
     vals = {k: params[k] for k in names}
     for k in names:
+        if not -math.inf < vals[k] < math.inf:
+            raise ValueError(f"parameter {k} must be finite")
         if k != "K" and not vals[k] > 0:
             raise ValueError(f"parameter {k} must be positive")
     if row.K_floor is not None:

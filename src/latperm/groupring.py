@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -129,16 +130,21 @@ class Window:
         raise ValueError("window JSON needs a 'box' or 'points' key")
 
 
+def sums(F: Iterable[Point], A: Sequence[Point]) -> tuple[list[Point], Counter]:
+    """The sums t + a, |A| per t of F in order, and how often each is hit:
+    t - A lies inside F exactly when t is hit |A| times, once per a."""
+    out = [add(t, a) for t in F for a in A]
+    return out, Counter(out)
+
+
 def dilate(F: Window, A: Window) -> Window:
     """All sums t + a with t in F and a in A."""
-    return Window(tuple({add(t, a) for t in F for a in A}))
+    return Window(tuple(sums(F, A.points)[1]))
 
 
 def interior(F: Window, A: Window) -> Window:
     """Points t whose whole backward shadow t - A lies inside F."""
-    fs = F.point_set
-    candidates = {add(t, a) for t in F for a in A}
-    return Window(tuple(t for t in candidates if all(sub(t, a) in fs for a in A)))
+    return Window(tuple(t for t, n in sums(F, A.points)[1].items() if n == len(A)))
 
 
 class GroupRingElement:

@@ -8,8 +8,9 @@ are cross-checks:
 
 * ``sweep`` - the sites split into the connected components of the
   site-target graph, and the permanent is the product over the components
-  of a frontier dynamic program over their sites in lexicographic order,
-  run by one numpy stepper for windows, tori and matrices that yields the
+  of a frontier dynamic program over their sites in lexicographic order
+  (single windows and tori sort their axes first, the longest first), run
+  by one numpy stepper for windows, tori and matrices that yields the
   frontier at each cut; components advance side by side, cut by cut, and
   each cut's value is yielded as soon as all of them reach it.
   States are the sets of claimed targets that some later site can still
@@ -32,6 +33,7 @@ sweep is the values its reader took before the error.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -46,10 +48,10 @@ from .groupring import (
     Window,
     add,
     dilate,
-    interior,
     neg,
     separated_on_quotient,
     sub,
+    sums,
 )
 from .patterns import DEFAULT_BUDGET, enumerate_injective, pattern_sign
 
@@ -221,15 +223,16 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, spent: list, c
     below 62, Python ints otherwise. Required targets are checked at their
     last row. Exact values start as int64 and become Python ints at the
     first row whose bound sum(|values|) * sum(|weights|) on the next values
-    could reach 2^62. Float values are divided by 2^512 after each row that
-    takes one past it, and ``exp`` counts the bits. A node is one (state,
-    choice) pair, added to the shared counter ``spent[0]`` before a row is
-    built; past ``budget`` it raises CapacityError. The stepper yields, at
-    each of the ascending row indices ``cuts``, the snapshot: sorted keys,
-    values, exp and {target: key bit} of the live targets, which rows on
-    both sides of the cut can claim. At cut len(rows) the one value is the
-    permanent. Once the frontier is empty, no more rows run and every later
-    cut yields it, with no live target.
+    could reach 2^62, summed once a running product of the sum(|weights|)
+    does. Float values are divided by 2^512 after each row that takes one
+    past it, and ``exp`` counts the bits. A node is one (state, choice)
+    pair, added to the shared counter ``spent[0]`` before a row is built;
+    past ``budget`` it raises CapacityError. The stepper yields, at each of
+    the ascending row indices ``cuts``, the snapshot: sorted keys, values,
+    exp and {target: key bit} of the live targets, which rows on both sides
+    of the cut can claim. At cut len(rows) the one value is the permanent.
+    Once the frontier is empty, no more rows run and every later cut yields
+    it, with no live target.
     """
     last = {j: k for k, row in enumerate(rows) for j, _ in row}
     signed = any(w < 0 for row in rows for _, w in row)  # else every value is >= 0
@@ -238,6 +241,7 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, spent: list, c
     bit: dict[int, int] = {}  # target -> its key bit; dead entries are never read
     used = 0  # the bits of the live targets
     exp = 0
+    bound = 1  # >= max(sum(|values|), 1) while the values are int64
     k = 0
     for cut in cuts:
         while k < cut and keys.size:
@@ -247,10 +251,12 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, spent: list, c
                 raise CapacityError(f"sweep kernel exceeded {budget} nodes at row {k}/{len(rows)}"
                                     " of a component")
             if exact and vals.dtype != object:
-                bound = max(int((np.abs(vals) if signed else vals).sum()), 1) * sum(
-                    abs(w) for _, w in row)
-                if bound >= _VALUE_LIMIT:
-                    vals = vals.astype(object)
+                scale = sum(abs(w) for _, w in row)
+                bound *= scale
+                if bound >= _VALUE_LIMIT:  # re-sum: the running bound can be loose
+                    bound = max(int((np.abs(vals) if signed else vals).sum()), 1) * scale
+                    if bound >= _VALUE_LIMIT:
+                        vals = vals.astype(object)
             # a required target dying here must be claimed in the state already
             # (need) or, if no earlier row reaches it, by this row (unclaimed)
             tests = [bit.get(j, 0) for j, _ in row]
@@ -385,16 +391,6 @@ def ryser_permanent(rows, columns, exact: bool = False):
 # window and torus permanents
 
 
-def _rows(sites, weights: dict, index: dict, reduce=None):
-    """The (target column, weight) pairs of each site, one per displacement
-    in sorted order; ``reduce`` maps a target onto a quotient first."""
-    disp = sorted(weights)
-    return [
-        [(index[reduce(add(s, a)) if reduce else add(s, a)], weights[a]) for a in disp]
-        for s in sites
-    ]
-
-
 def _weights(f: GroupRingElement, exact: bool | None, reduce=None):
     """The sweep weights of f's terms by displacement, mapped onto a
     quotient by ``reduce`` if given, and k. On the exact path k is None and
@@ -426,11 +422,12 @@ def window_permanent(
     Python int when f has integer coefficients (or exact=True), however
     large; otherwise it is computed in floats on g, f = 2^k g from
     f.unit_scale(), and |F| k log 2 is added to the log. The ``dfs`` and
-    ``ryser`` backends are cross-checks on the same rows.
+    ``ryser`` backends are cross-checks on the same rows. The sites run along
+    F's longest axis: the axes are sorted by decreasing extent, ties kept.
     """
     if backend not in ("sweep", "dfs", "ryser"):
         raise ValueError(f"unknown backend {backend!r}")
-    plan = _window_rows(f, F, A, mode, exact)
+    plan = _window_rows(f, F, A, mode, exact, reorder=True)
     if plan is None:
         return LogValue.from_linear(1 if len(F) == 0 else 0)
     rows, required, k, ncols = plan
@@ -471,22 +468,35 @@ def window_permanents(
 
 
 def _window_rows(f: GroupRingElement, F: Window, A: Window | None, mode: str,
-                 exact: bool | None):
-    """(rows, required columns, k, columns) of window_permanent on F: the
-    rows of F's sites, the columns of interior(F, A) in admissible mode,
-    k from _weights and the number of targets; None when f is 0 or F empty."""
+                 exact: bool | None, reorder: bool = False):
+    """(rows, required columns, k, columns) of window_permanent on F, or None
+    when f is 0 or F empty. One pass over the sums s + a numbers the targets
+    in sorted order and counts their hits; in admissible mode the interior,
+    the targets hit |A| times, is required. ``reorder`` sorts the axes first."""
     if mode not in ("admissible", "injective"):
         raise ValueError("mode must be 'admissible' or 'injective'")
     A = A if A is not None else f.support()
     if f.is_zero() or len(F) == 0:
         return None
+    if F.dim != f.dim:
+        raise ValueError("window dimension does not match element")
     if not f.support().point_set <= A.point_set:
         raise ValueError("support of f must lie inside A")
     weights, k = _weights(f, exact)
-    index = {t: j for j, t in enumerate(dilate(F, A).points)}
-    rows = _rows(F.points, weights, index)
-    required = [index[t] for t in interior(F, A).points] if mode == "admissible" else []
-    return rows, required, k, len(index)
+    sites, disp = F.points, A.points
+    minus_extent = [min(c) - max(c) for c in zip(*sites)] if reorder else []
+    axes = sorted(range(len(minus_extent)), key=minus_extent.__getitem__)  # stable
+    if axes != sorted(axes):  # an isomorphism of Z^d: the same value
+        swap = operator.itemgetter(*axes)  # d >= 2, so it gives tuples
+        sites, disp = sorted(map(swap, sites)), sorted(map(swap, disp))
+        weights = {swap(a): w for a, w in weights.items()}
+    targets, hits = sums(sites, disp)
+    index = {t: j for j, t in enumerate(sorted(hits))}
+    cols = [(i, weights[a]) for i, a in enumerate(disp) if a in weights]
+    rows = [[(index[targets[s + i]], w) for i, w in cols]
+            for s in range(0, len(targets), len(disp))]
+    full = len(disp) if mode == "admissible" else 0  # every target is hit at least once
+    return rows, [j for t, j in index.items() if hits[t] == full], k, len(index)
 
 
 def _cut_values(rows, req_mask: int, k, budget: int, sizes) -> Iterator[LogValue]:
@@ -562,7 +572,8 @@ def torus_permanent(
     use_exact = k is None
     sites = quotient.points()
     index = {p: j for j, p in enumerate(sites)}
-    rows = _rows(sites, weights, index, quotient.reduce)
+    rows = [[(index[quotient.reduce(add(s, a))], w) for a, w in sorted(weights.items())]
+            for s in sites]
     # Sites s, s' share a target iff s - s' is in A - A, so the components
     # are the cosets x + H, the first one H itself. Site s claims s + a with
     # weight w_a, so s -> s + x maps H's rows onto x + H's, weight for weight.

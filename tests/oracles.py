@@ -5,8 +5,9 @@ exhaustive product filters, factorial-expansion permanents, plain recursive
 backtracking, and Jensen's formula via polynomial roots. These are slow on
 purpose and kept free of the package's kernel machinery, except
 ``full_quotient_permanent``, which runs the plain frontier sweep over a
-whole torus as the reference for the torus split and join, and
-``per_bit_join``, the join with its partner keys built bit by bit.
+whole torus as the reference for the torus split and join,
+``per_bit_join``, the join with its partner keys built bit by bit, and
+``two_pass_window_rows``, which takes the sweep's weights from the package.
 """
 
 from __future__ import annotations
@@ -53,6 +54,25 @@ def naive_window_sum(f_terms, F_points, mode="injective", required=None, A_point
             w = w * f.get(d, 0)
         total += w
     return total
+
+
+def two_pass_window_rows(f, F, A, mode, exact):
+    """(rows, required columns, k, columns) of a window sweep, planned in two
+    passes over F and A: the targets are the set of sums F + A in sorted
+    order, a target is required when each point of its backward shadow
+    t - A is found in F, and each site's row lists its (target, weight)
+    pairs in sorted displacement order."""
+    from latperm.groupring import add, sub
+    from latperm.permanent import _weights
+
+    A = A if A is not None else f.support()
+    fs = F.point_set
+    targets = sorted({add(t, a) for t in F for a in A})
+    index = {t: j for j, t in enumerate(targets)}
+    weights, k = _weights(f, exact)
+    rows = [[(index[add(s, a)], weights[a]) for a in sorted(weights)] for s in F.points]
+    required = [index[t] for t in targets if all(sub(t, a) in fs for a in A)]
+    return rows, required if mode == "admissible" else [], k, len(targets)
 
 
 def factorial_permanent(M):
@@ -125,11 +145,14 @@ def full_quotient_permanent(f, quotient, exact=None, budget=10**8):
     quotient in the given coordinate order: every coset is swept, with no
     coset power, no join and no change of axes. Same value conventions as
     ``torus_permanent``."""
-    from latperm.permanent import _rows, _scaled_logvalue, _sweep, _weights
+    from latperm.groupring import add
+    from latperm.permanent import _scaled_logvalue, _sweep, _weights
 
     weights, k = _weights(f, exact, quotient.reduce)
     sites = quotient.points()
-    rows = _rows(sites, weights, {p: j for j, p in enumerate(sites)}, quotient.reduce)
+    index = {p: j for j, p in enumerate(sites)}
+    rows = [[(index[quotient.reduce(add(s, a))], w) for a, w in sorted(weights.items())]
+            for s in sites]
     raw, exp = next(_sweep(rows, (1 << len(sites)) - 1, k is None, budget, [len(rows)]))
     return _scaled_logvalue(raw, exp, k, quotient.size)
 

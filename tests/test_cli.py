@@ -141,6 +141,13 @@ class TestFlagTable:
         for sp in sub.choices.values():
             assert all(a.default is argparse.SUPPRESS for a in sp._actions)
 
+    def test_parser_is_built_once_and_reused(self, capsys):
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["entropy", "--windows", "4..6", "--bogus"])
+        # a parse, and a rejected one, leave nothing in the shared parser
+        assert vars(build_parser().parse_args(["entropy"])) == {"command": "entropy"}
+
     @pytest.mark.parametrize("command", list(READS))
     def test_runconfig_holds_every_default(self, command):
         # an unset flag stays out of the namespace

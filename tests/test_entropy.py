@@ -655,6 +655,18 @@ class TestNestedSchedules:
         schedule = prefixes(box, [1, 2, 5, 7, 8, 12])
         assert upper_estimates(f, schedule) == per_window(f, schedule)
 
+    def test_wide_box_prefixes_keep_the_box_order(self, monkeypatch):
+        # window_permanent sweeps the 2x6 box along its long axis; the shared
+        # sweep keeps the box's own order, so its cut at 6 holds the row x = 0
+        def refuse(*args, **kwargs):
+            raise AssertionError("the shared sweep reaches every window")
+
+        f = GroupRingElement(2, {(0, 0): 1, (1, 0): 2, (0, 1): 1, (1, 1): 3})
+        schedule = prefixes(Window.box([0, 0], [2, 6]).points, [3, 6, 8, 12])
+        want = per_window(f, schedule)
+        monkeypatch.setattr(entropy, "window_permanent", refuse)
+        assert upper_estimates(f, schedule) == want
+
     def test_one_frontier_per_component_and_mode(self, monkeypatch):
         # sites 0..11 with claims s, s + 3, s + 6 split into 3 residue
         # classes, so 9 windows in 2 modes take 6 frontier steppers, not 54

@@ -554,6 +554,14 @@ class TestFamilies:
         with pytest.raises(ValueError):
             family_instance("three-point-Z", {"a": 1, "b": 1, "c": 1, "K": 2.5})
 
+    @pytest.mark.parametrize("name, value", [("K", math.inf), ("K", math.nan),
+                                             ("K", -math.inf), ("a", math.inf),
+                                             ("a", math.nan)])
+    def test_non_finite_parameter_rejected_with_the_cli_message(self, name, value):
+        params = {"a": 1, "b": 1, "c": 1, "K": 3, name: value}
+        with pytest.raises(ValueError, match=f"^parameter {name} must be finite$"):
+            family_instance("three-point-Z", params)
+
     def test_three_point_smallest_span_matches_trinomial(self):
         inst = family_instance("three-point-Z", {"a": 1, "b": 1, "c": 1, "K": 2})
         tri = family_instance("trinomial-Z", {"a": 1, "b": 1, "c": 1})

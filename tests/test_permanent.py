@@ -11,6 +11,7 @@ from latperm.groupring import (
     GroupRingElement,
     TorusQuotient,
     Window,
+    add,
     dilate,
     interior,
     separated_on_quotient,
@@ -21,7 +22,6 @@ from latperm.permanent import (
     LogValue,
     _components,
     _dfs_permanent,
-    _rows,
     _sweep,
     bregman_bound,
     det_identity_check,
@@ -126,6 +126,13 @@ class TestWindowPermanent:
         for backend in ("sweep", "dfs", "ryser"):
             got = window_permanent(f, F, mode="injective", backend=backend).linear
             assert got == c * c + c + 1
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 1), (2, 3)])
+    def test_window_of_another_dimension_is_rejected(self, dims):
+        f = elem(dims[0], {(0,) * dims[0]: 1, (1,) * dims[0]: 1})
+        F = Window.box([0] * dims[1], [2] + [3] * (dims[1] - 1))
+        with pytest.raises(ValueError, match="window dimension does not match element"):
+            window_permanent(f, F)
 
     @pytest.mark.parametrize("backend", ["auto", "swep"])
     def test_unknown_backend_is_rejected(self, backend):
@@ -256,7 +263,8 @@ class TestComponents:
                         for t in interior(F, A).points:
                             if sum(t) % 2 != parity:
                                 req |= 1 << index[t]
-                    rows = _rows(sites, self.DIMER.terms, index)
+                    rows = [[(index[add(s, a)], w) for a, w in sorted(self.DIMER.terms.items())]
+                            for s in sites]
                     want *= _dfs_permanent(rows, req, exact, 10**8)
                 got = window_permanent(self.DIMER, F, mode=mode, exact=exact)
                 if exact:
@@ -375,6 +383,143 @@ class TestStableKeyBits:
         frows = [[(j, float(w)) for j, w in row] for row in rows]
         assert math.ldexp(*next(_sweep(frows, req, False, 10**7, [len(frows)]))) == \
             pytest.approx(want, rel=1e-12)
+
+
+    @given(st.lists(st.dictionaries(st.integers(0, 6), st.integers(-2**16, 2**16).filter(bool),
+                                    min_size=1, max_size=4), max_size=8),
+           st.integers(0, (1 << 7) - 1))
+    @example([{k: 2**11, 7 + 3 * k: 2**12, 8 + 3 * k: 2**12, 9 + 3 * k: 2**12}
+              for k in range(7)], (1 << 7) - 1)
+    @settings(deadline=None, max_examples=200)
+    def test_values_promote_at_the_rows_their_sums_bound(self, rows, req):
+        # values are Python ints after row k exactly when some row j <= k
+        # had max(sum |values|, 1) * sum |weights of row j| >= 2^62 before
+        # it. In the example each row must claim its own required target of
+        # weight 2^11 but has 3 more of weight 2^12, so the running bound
+        # reaches 2^62 at row 4, where the values sum to 2^44 and stay int64
+        rows = [list(row.items()) for row in rows]
+        cuts = range(len(rows) + 1)
+        snaps = list(permanent._frontier(rows, req, True, 10**7, [0], cuts))
+        promoted = False
+        for k, (_, vals, _, _) in enumerate(snaps):
+            assert (vals.dtype == object) == promoted
+            if not vals.size or k == len(rows):
+                break
+            total = max(sum(abs(int(v)) for v in vals), 1)
+            promoted = promoted or total * sum(abs(w) for _, w in rows[k]) >= 1 << 62
+
+
+MODES = ("admissible", "injective")
+UNDERFLOW = GroupRingElement(2, {(0, 0): 1e300, (1, 0): 3.0, (0, 1): 1e-300})  # g keeps 0.0
+
+
+@st.composite
+def window_plans(draw):
+    """An element of 1..3 terms in d = 1..3 with integer or float
+    coefficients, a window of 1..5 points, A = supp(f) or a superset, a
+    mode and exact=None or False."""
+    d = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+    supp = draw(st.lists(point, min_size=1, max_size=3, unique=True))
+    coef = st.one_of(st.integers(-3, 3).filter(bool),
+                     st.floats(-1e6, 1e6).filter(lambda c: abs(c) > 1e-6))
+    f = GroupRingElement(d, {p: draw(coef) for p in supp})
+    extra = draw(st.lists(point, max_size=2))
+    A = Window.of(set(supp) | set(extra)) if extra or draw(st.booleans()) else None
+    F = Window.of(draw(st.lists(point, min_size=1, max_size=5, unique=True)))
+    return f, F, A, draw(st.sampled_from(MODES)), draw(st.sampled_from([None, False]))
+
+
+def swapped(axes, points):
+    return [tuple(p[i] for i in axes) for p in points]
+
+
+class TestWindowPlan:
+    """The one-pass plan gives the rows, required columns and column count
+    of the two-pass construction, in sorted target order."""
+
+    @given(window_plans())
+    @example((UNDERFLOW, Window.box([0, 0], [2, 3]), None, "admissible", None))
+    @example((UNDERFLOW, Window.box([0, 0], [3, 2]),
+              Window.box([-1, -1], [3, 3]), "admissible", None))
+    @example((elem(1, {(0,): 1, (2,): 2}), Window.box([0], [4]),
+              Window.of([(0,), (1,), (2,)]), "admissible", None))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_the_two_pass_plan(self, inst):
+        f, F, A, mode, exact = inst
+        want = oracles.two_pass_window_rows(f, F, A, mode, exact)
+        assert repr(permanent._window_rows(f, F, A, mode, exact)) == repr(want)
+        # the reordered plan is the two-pass plan of the isomorphic image
+        extent = [max(c) - min(c) for c in zip(*F.points)]
+        axes = sorted(range(f.dim), key=lambda i: -extent[i])
+        image = GroupRingElement(f.dim, dict(zip(swapped(axes, f.terms), f.terms.values())))
+        At = None if A is None else Window.of(swapped(axes, A.points))
+        want = oracles.two_pass_window_rows(image, Window.of(swapped(axes, F.points)), At,
+                                            mode, exact)
+        assert repr(permanent._window_rows(f, F, A, mode, exact, reorder=True)) == repr(want)
+
+    def test_interior_is_the_targets_hit_by_all_of_A(self):
+        F, A = Window.box([0, 0], [3, 4]), Window.of([(0, 0), (1, 0), (0, 2)])
+        assert set(interior(F, A).points) == oracles.interior_scan(F.points, A.points)
+        assert dilate(F, A).point_set == {tuple(map(sum, zip(t, a))) for t in F for a in A}
+        assert len(interior(F, A)) == 4  # rows 1..2, columns 2..3
+
+    def test_required_columns_keep_the_ryser_bits(self):
+        # inclusion-exclusion over the required columns in sorted target order
+        f = GroupRingElement(2, {(1, 0): 0.3, (-1, 0): 0.7, (0, 1): 1.1, (0, -1): 1.9})
+        F = Window.box([0, 0], [3, 3])
+        rows, required, _, ncols = oracles.two_pass_window_rows(f, F, None, "admissible", False)
+        want = permanent._inclusion_exclusion_permanent(rows, ncols, required, False)
+        got = window_permanent(f, F, backend="ryser", exact=False)
+        assert got.linear == permanent._scaled_logvalue(want, 0, 0, len(F)).linear
+
+
+class TestAxisOrder:
+    """window_permanent sweeps a window along its longest axis; the nested
+    cuts of window_permanents keep F's own order."""
+
+    DIMER = GroupRingElement(2, {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1})
+    QUAD = GroupRingElement(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
+
+    @pytest.mark.parametrize("f, budget", [(DIMER, 1420), (QUAD, 3968)])
+    def test_wide_window_fits_the_budget_of_its_transpose(self, f, budget):
+        wide, tall = Window.box([0, 0], [3, 16]), Window.box([0, 0], [16, 3])
+        want = window_permanent(f, tall, budget=budget).linear
+        with pytest.raises(CapacityError):
+            window_permanent(f, tall, budget=budget - 1)
+        assert window_permanent(f, wide, budget=budget).linear == want
+        with pytest.raises(CapacityError):  # the wide window in its given order
+            next(permanent.window_permanents(f, wide, [len(wide)], budget=100 * budget))
+
+    def test_dimer_4x24_at_the_default_budget(self):
+        want = window_permanent(self.DIMER, Window.box([0, 0], [24, 4])).linear
+        assert window_permanent(self.DIMER, Window.box([0, 0], [4, 24])).linear == want
+        assert want == 23539501001176980575402368061421360400
+
+    @pytest.mark.parametrize("axes", list(itertools.permutations(range(3))))
+    def test_permuted_3d_box_keeps_its_value(self, axes):
+        f = GroupRingElement(3, {(0, 0, 0): 2, (1, 0, 0): 1, (0, 1, 0): 3,
+                                 (0, 0, 1): 1, (1, 0, 1): -1})
+        lengths = (1, 2, 3)
+        F = Window.box([0, 0, 0], [lengths[i] for i in axes])
+        g = GroupRingElement(3, dict(zip(swapped(axes, f.terms), f.terms.values())))
+        base = Window.box([0, 0, 0], lengths)
+        for mode in MODES:
+            want = window_permanent(f, base, mode=mode, backend="dfs").linear
+            assert window_permanent(g, F, mode=mode).linear == want
+            assert window_permanent(g, F, mode=mode, backend="dfs").linear == want
+            assert window_permanent(g, F, mode=mode, exact=False).linear == \
+                pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nested_cuts_keep_the_window_order(self, mode):
+        # the first 6 points of the 2x6 box are its row x = 0: swept along
+        # the long axis, no cut would hold them
+        F = Window.box([0, 0], [2, 6])
+        sizes = [1, 3, 6, 8, 12]
+        got = list(permanent.window_permanents(self.QUAD, F, sizes, mode))
+        assert got == [window_permanent(self.QUAD, Window.of(F.points[:n]), mode=mode)
+                       for n in sizes]
 
 
 class TestSubadditivity:
