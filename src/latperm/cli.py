@@ -16,10 +16,10 @@ converge, whose value left its Collatz-Wielandt bracket or failed its dense
 check; a root-based Mahler measure whose coefficient ratios overflow in
 both orientations; or an inexact Ryser padding division).
 
-All output is formatted here: _dump writes every JSON payload and _csv
-every CSV, and both print floats with 12 significant digits and a '.'
-decimal separator. Rerunning the same configuration reproduces the output
-byte for byte.
+All output is formatted here: each command hands its JSON payload and CSV
+rows to _out, the one format switch, and _dump or _csv writes them with
+floats at 12 significant digits and a '.' decimal separator. Rerunning the
+same configuration reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .groupring import (
     GroupRingElement,
     TorusQuotient,
     Window,
-    separated_on_quotient,
 )
 from .patterns import DEFAULT_BUDGET
 from .permanent import (
@@ -76,7 +75,9 @@ _VERIFY_SEED = 20240816
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One resolved CLI invocation; the one place that holds the flags' defaults."""
+    """One resolved CLI invocation and the flags' defaults, but for --windows
+    and --tori: an unset one stays empty, and the command takes its default,
+    which depends on the element's dimension, from _default_sizes or default_tori."""
 
     command: str
     input_path: str | None = None
@@ -107,22 +108,26 @@ class RunConfig:
 # flag parsing helpers
 
 
+def _parts(text: str) -> list[str]:
+    """The comma-separated parts of text, stripped, empty parts dropped."""
+    return [part for part in map(str.strip, text.split(",")) if part]
+
+
+def _span(part: str, what: str) -> range:
+    """'lo..hi' -> lo, ..., hi; hi < lo is an empty {what} range."""
+    lo, hi = part.split("..", 1)
+    lo, hi = int(lo), int(hi)
+    if hi < lo:
+        raise ValueError(f"empty {what} range {part!r}")
+    return range(lo, hi + 1)
+
+
 def parse_windows(text: str) -> tuple[int, ...]:
     """'4..12' -> (4,...,12); '6' -> (6,); '2,4,6' -> (2,4,6)."""
-    items: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError(f"empty window range {part!r}")
-            items.extend(range(lo, hi + 1))
-        else:
-            items.append(int(part))
-    out = tuple(sorted(set(items)))
+    items: set[int] = set()
+    for part in _parts(text):
+        items.update(_span(part, "window") if ".." in part else (int(part),))
+    out = tuple(sorted(items))
     if not out:
         raise ValueError("no window sizes given")
     if out[0] < 1:
@@ -133,18 +138,11 @@ def parse_windows(text: str) -> tuple[int, ...]:
 def parse_tori(text: str) -> tuple[tuple[int, ...], ...]:
     """'4x4,6x6' -> ((4,4),(6,6)); '4..8' and '4,6' give one-dimensional moduli."""
     out: list[tuple[int, ...]] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _parts(text):
         if "x" in part:
             out.append(tuple(int(v) for v in part.split("x")))
         elif ".." in part:
-            lo, hi = part.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError(f"empty torus range {part!r}")
-            out.extend((n,) for n in range(lo, hi + 1))
+            out.extend((n,) for n in _span(part, "torus"))
         else:
             out.append((int(part),))
     if not out:
@@ -157,10 +155,7 @@ def parse_tori(text: str) -> tuple[tuple[int, ...], ...]:
 def _parse_params(text: str) -> dict:
     """'a=1,b=2,K=3' -> {'a': 1.0, 'b': 2.0, 'K': 3.0}."""
     params: dict = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _parts(text):
         if "=" not in part:
             raise ValueError(f"parameter {part!r} is not of the form name=value")
         name, value = part.split("=", 1)
@@ -264,8 +259,12 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _estimate_csv(rows) -> str:
-    return _csv([f.name for f in fields(EstimateRow)], map(astuple, rows))
+_ROW_HEADER = tuple(f.name for f in fields(EstimateRow))
+
+
+def _out(cfg: RunConfig, payload: dict, header, rows) -> str:
+    """The one format switch: the header and rows as CSV, or the payload as JSON."""
+    return _csv(header, rows) if cfg.out_format == "csv" else _dump(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +276,9 @@ def _estimate_command(cfg: RunConfig, f: GroupRingElement) -> tuple[str, int]:
     schedule = WindowSchedule.boxes(f.dim, sizes)
     tori = [TorusQuotient(m) for m in cfg.tori] if cfg.tori else None
     report = estimate_report(f, schedule, tori=tori, budget=cfg.budget)
-    code = 3 if report.capacity_skipped else 0
-    if cfg.out_format == "csv":
-        return _estimate_csv(report.rows), code
-    return _dump({"command": cfg.command, "dim": f.dim, **asdict(report)}), code
+    payload = {"command": cfg.command, "dim": f.dim, **asdict(report)}
+    return (_out(cfg, payload, _ROW_HEADER, map(astuple, report.rows)),
+            3 if report.capacity_skipped else 0)
 
 
 def cmd_entropy(cfg: RunConfig) -> tuple[str, int]:
@@ -299,15 +297,14 @@ def cmd_permanent(cfg: RunConfig) -> tuple[str, int]:
     ((label, F),) = WindowSchedule.boxes(f.dim, sizes)
     values = {mode: window_permanent(f, F, mode=mode, budget=cfg.budget)
               for mode in ("admissible", "injective")}
-    if cfg.out_format == "csv":
-        return _estimate_csv(EstimateRow(label, len(F), lv.log, lv.normalized(len(F)), mode)
-                             for mode, lv in values.items()), 0
     payload = {"command": "permanent", "dim": f.dim, "window": label,
                "size": len(F)}
     for mode, lv in values.items():
         payload[mode] = {"value": lv.linear, "log_value": lv.log,
                          "normalized": lv.normalized(len(F))}
-    return _dump(payload), 0
+    rows = [(label, len(F), lv.log, lv.normalized(len(F)), mode)
+            for mode, lv in values.items()]
+    return _out(cfg, payload, _ROW_HEADER, rows), 0
 
 
 def cmd_mahler(cfg: RunConfig) -> tuple[str, int]:
@@ -315,9 +312,6 @@ def cmd_mahler(cfg: RunConfig) -> tuple[str, int]:
     qcfg = QuadratureConfig(grid=cfg.grid, eps=cfg.eps)
     res = mahler_measure(f, qcfg)
     roots = mahler_measure_roots(f) if f.dim == 1 else None
-    if cfg.out_format == "csv":
-        return _csv(("value", "error_estimate", "converged", "roots_value"),
-                    [(res.value, res.error_estimate, int(res.converged), roots)]), 0
     payload = {
         "command": "mahler",
         "dim": f.dim,
@@ -328,7 +322,9 @@ def cmd_mahler(cfg: RunConfig) -> tuple[str, int]:
         "eps_spread": res.eps_spread,
         "roots_value": roots,
     }
-    return _dump(payload), 0
+    header = ("value", "error_estimate", "converged", "roots_value")
+    rows = [(res.value, res.error_estimate, int(res.converged), roots)]
+    return _out(cfg, payload, header, rows), 0
 
 
 def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
@@ -341,18 +337,10 @@ def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
     params.update(_parse_params(cfg.params or ""))
     qcfg = QuadratureConfig(grid=cfg.grid, eps=cfg.eps)
     rep = evaluate_family(cfg.family, params, cfg=qcfg, budget=cfg.budget)
-    code = 0
     if rep.capacity_skipped:
         # the output keys stay fixed, so the skipped items are named on stderr
         print("capacity budget exceeded: " + "; ".join(rep.capacity_skipped),
               file=sys.stderr)
-        code = 3
-    if cfg.out_format == "csv":
-        header = ("family", "params", "per_estimate_low", "per_estimate_high",
-                  "det_value", "det_error_estimate")
-        return _csv(header, [(rep.instance.family, rep.instance.params_label(),
-                              rep.per_low, rep.per_high, rep.det_value,
-                              rep.det_error)]), code
     payload = {
         "command": "compare",
         "family": rep.instance.family,
@@ -365,38 +353,29 @@ def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
         "det_values": [r.value for r in rep.det_results],
         "torus_max": rep.torus_max,
     }
-    return _dump(payload), code
+    header = ("family", "params", "per_estimate_low", "per_estimate_high",
+              "det_value", "det_error_estimate")
+    rows = [(rep.instance.family, rep.instance.params_label(), rep.per_low,
+             rep.per_high, rep.det_value, rep.det_error)]
+    return _out(cfg, payload, header, rows), 3 if rep.capacity_skipped else 0
 
 
 def cmd_periodic(cfg: RunConfig) -> tuple[str, int]:
     f = _displacement_weights(cfg, keep_weights=True)
-    if cfg.tori:
-        moduli = cfg.tori
-    elif f.dim == 1:
-        moduli = tuple(
-            (n,) for n in range(4, 13)
-            if separated_on_quotient(f.support(), TorusQuotient((n,)))[0]
-        )
-    else:
-        moduli = tuple(q.moduli for q in default_tori(f))
-    if not moduli:
+    tori = [TorusQuotient(m) for m in cfg.tori] or (
+        default_tori(f, range(4, 13)) if f.dim == 1 else default_tori(f))
+    if not tori:
         raise ValueError("no usable torus moduli for this element")
     done, skipped = _run_jobs(lambda q: torus_permanent(f, q, budget=cfg.budget),
-                              [TorusQuotient(m) for m in moduli], torus_label)
-    rows = [(torus_label(q), q.size, lv) for q, lv in done]
-    code = 3 if skipped else 0
-    if cfg.out_format == "csv":
-        return _estimate_csv(EstimateRow(label, size, lv.log, lv.normalized(size), "torus")
-                             for label, size, lv in rows), code
-    payload = {
-        "command": "periodic",
-        "dim": f.dim,
-        "tori": [{"torus": label, "sites": size, "count": lv.linear,
-                  "log_value": lv.log, "normalized": lv.normalized(size)}
-                 for label, size, lv in rows],
-        "capacity_skipped": skipped,
-    }
-    return _dump(payload), code
+                              tori, torus_label)
+    payload = {"command": "periodic", "dim": f.dim,
+               "tori": [{"torus": torus_label(q), "sites": q.size, "count": lv.linear,
+                         "log_value": lv.log, "normalized": lv.normalized(q.size)}
+                        for q, lv in done],
+               "capacity_skipped": skipped}
+    rows = [(torus_label(q), q.size, lv.log, lv.normalized(q.size), "torus")
+            for q, lv in done]
+    return _out(cfg, payload, _ROW_HEADER, rows), 3 if skipped else 0
 
 
 # ---------------------------------------------------------------------------

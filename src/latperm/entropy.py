@@ -401,15 +401,12 @@ def entropy_upper_bound(A: Window) -> float:
 # combined report
 
 
-def default_tori(f: GroupRingElement, max_side: int = 8) -> list[TorusQuotient]:
-    """Square quotients up to max_side on which the support stays separated."""
-    out = []
-    for n in range(2, max_side + 1):
-        q = TorusQuotient((n,) * f.dim)
-        ok, _ = separated_on_quotient(f.support(), q)
-        if ok:
-            out.append(q)
-    return out
+def default_tori(f: GroupRingElement, sides: range = range(2, 9)) -> list[TorusQuotient]:
+    """The square quotients with the given sides on which the support stays
+    separated, in the order of sides."""
+    support = f.support()
+    tori = [TorusQuotient((n,) * f.dim) for n in sides]
+    return [q for q in tori if separated_on_quotient(support, q)[0]]
 
 
 def estimate_report(

@@ -464,7 +464,7 @@ def evaluate_family(
                                           modes=("admissible",), budget=budget)
     if not upper_rows:
         raise CapacityError("no window fits the budget: " + "; ".join(skipped))
-    torus_rows, torus_skipped = torus_estimates(f, default_tori(f, max_side=4),
+    torus_rows, torus_skipped = torus_estimates(f, default_tori(f, range(2, 5)),
                                                 budget=budget)
     per_high = min(r.normalized for r in upper_rows)
     per_low = pressure_lower_bound(f)

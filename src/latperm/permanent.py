@@ -147,8 +147,9 @@ def _components(rows) -> list[tuple[list[int], int]]:
 
     first: dict[int, int] = {}
     for k, row in enumerate(rows):
+        r = find(k)  # stays a root: each target's root is linked under it
         for j, _ in row:
-            root[find(first.setdefault(j, k))] = find(k)
+            root[find(first.setdefault(j, k))] = r
     # rows in increasing order reach each component at its first row
     members: dict[int, list[int]] = {}
     for k in range(len(rows)):

@@ -71,6 +71,37 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_tori("0x4")
 
+    # each malformed value with its parse_windows and parse_tori messages;
+    # a part is read as a range before a number, and for tori as a product
+    # before a range
+    @pytest.mark.parametrize("text, windows, tori", [
+        ("8..4", "empty window range '8..4'", "empty torus range '8..4'"),
+        ("", "no window sizes given", "no torus moduli given"),
+        (" , ", "no window sizes given", "no torus moduli given"),
+        ("0..3", "window sizes must be positive", "torus moduli must be positive"),
+        ("3,0", "window sizes must be positive", "torus moduli must be positive"),
+        ("a", "invalid literal for int() with base 10: 'a'",
+         "invalid literal for int() with base 10: 'a'"),
+        ("4x4..6", "invalid literal for int() with base 10: '4x4'",
+         "invalid literal for int() with base 10: '4..6'"),
+        ("4x", "invalid literal for int() with base 10: '4x'",
+         "invalid literal for int() with base 10: ''"),
+        ("2..y", "invalid literal for int() with base 10: 'y'",
+         "invalid literal for int() with base 10: 'y'"),
+    ])
+    def test_malformed_lists_name_their_fault(self, text, windows, tori):
+        for parse, message in ((parse_windows, windows), (parse_tori, tori)):
+            with pytest.raises(ValueError) as e:
+                parse(text)
+            assert str(e.value) == message
+
+    def test_lists_strip_parts_and_skip_empty_ones(self):
+        assert parse_windows(" 4 , 2,3..5,") == (2, 3, 4, 5)
+        assert parse_windows("3,,4") == (3, 4)
+        # tori keep the given order and repeats
+        assert parse_tori(" 4 , 2,3..5,") == ((4,), (2,), (3,), (4,), (5,))
+        assert parse_tori("3,,4") == ((3,), (4,))
+
     def test_runconfig_validation(self):
         with pytest.raises(ValueError):
             RunConfig(command="frobnicate")
@@ -592,6 +623,42 @@ class TestBelowUnitScale:
         assert payload["per_estimate_low"] <= det <= payload["per_estimate_high"]
 
 
+THREE_POINT_GAP = '{"points": [[0], [3], [6]]}'
+UNIT_DIMER = ('{"dim":2,"terms":[{"exp":[1,0],"coef":1},{"exp":[-1,0],"coef":1},'
+              '{"exp":[0,1],"coef":1},{"exp":[0,-1],"coef":1}]}')
+
+
+def _periodic_bytes(dim, rows, skipped):
+    """periodic's JSON and CSV texts for a dimension, rows of (torus, sites,
+    count, log value, normalized) and the capacity_skipped list."""
+    tori = [dict(zip(("torus", "sites", "count", "log_value", "normalized"), r))
+            for r in rows]
+    payload = {"command": "periodic", "dim": dim,
+               "tori": tori, "capacity_skipped": skipped}
+    csv = ["window,size,log_value,normalized,kind"]
+    csv += [f"{t},{n},{lv!r},{nv!r},torus" for t, n, _, lv, nv in rows]
+    return {"json": json.dumps(payload, indent=2) + "\n", "csv": "\n".join(csv) + "\n"}
+
+
+PERIODIC_GAP = _periodic_bytes(1, [
+    ("4", 4, 9, 2.19722457734, 0.549306144334),
+    ("5", 5, 13, 2.56494935746, 0.512989871492),
+    ("7", 7, 31, 3.43398720449, 0.490569600641),
+    ("8", 8, 49, 3.89182029811, 0.486477537264),
+    ("9", 9, 216, 5.37527840768, 0.597253156409),
+    ("10", 10, 125, 4.8283137373, 0.48283137373),
+    ("11", 11, 201, 5.30330490806, 0.482118628005),
+    ("12", 12, 729, 6.59167373201, 0.549306144334),
+], [])
+PERIODIC_DIMER = _periodic_bytes(2, [
+    ("3x3", 9, 448, 6.10479323241, 0.678310359157),
+    ("4x4", 16, 73984, 11.2116041326, 0.700725258287),
+    ("5x5", 25, 5080064, 15.4408344179, 0.617633376716),
+    ("6x6", 36, 8131710976, 22.8190371905, 0.633862144181),
+    ("8x8", 64, 97252488205369344, 39.1160869627, 0.611188858793),
+], ["7x7: sweep kernel exceeded 100000000 nodes at row 17/49 of a component"])
+
+
 class TestPeriodic:
     def test_two_point_counts_constant(self, capsys):
         code, out, _ = run(capsys, ["periodic", "--inline", TWO_POINT,
@@ -616,6 +683,16 @@ class TestPeriodic:
         payload = json.loads(out)
         labels = [row["torus"] for row in payload["tori"]]
         assert labels == [str(n) for n in range(4, 13)]
+
+    def test_default_tori_bytes(self, capsys):
+        # 1-D: sides 4..12 less 6, where 0 and 6 collide; 2-D: sides 2..8
+        # less 2, where u1 and its inverse collide, and the 7x7 torus blows
+        # the default budget
+        for inline, expected, code in ((THREE_POINT_GAP, PERIODIC_GAP, 0),
+                                       (UNIT_DIMER, PERIODIC_DIMER, 3)):
+            for fmt in ("json", "csv"):
+                out = run(capsys, ["periodic", "--inline", inline, "--format", fmt])
+                assert out == (code, expected[fmt], "")
 
     def test_collision_on_explicit_torus_exit_2(self, capsys):
         code, _, err = run(capsys, ["periodic", "--inline", GOLDEN,

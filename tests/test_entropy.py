@@ -794,8 +794,10 @@ class TestTorusEstimates:
 
     def test_default_tori_skip_colliding_moduli(self):
         f = indicator(-1, 0, 1)
-        tori = default_tori(f, max_side=6)
+        tori = default_tori(f, range(2, 7))
         assert [q.moduli for q in tori] == [(3,), (4,), (5,), (6,)]
+        tori = default_tori(indicator(0, 3, 6), range(4, 13))
+        assert [q.moduli for q in tori] == [(4,), (5,), (7,), (8,), (9,), (10,), (11,), (12,)]
 
 
 class TestEstimateReport:
