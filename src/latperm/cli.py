@@ -38,12 +38,11 @@ import numpy as np
 from .entropy import (
     EstimateRow,
     WindowSchedule,
-    _run_jobs,
     default_tori,
     entropy_upper_bound,
     estimate_report,
     pressure_lower_bound,
-    torus_label,
+    torus_estimates,
     transfer_pressure,
 )
 from .fkdet import (
@@ -94,6 +93,10 @@ class RunConfig:
     params: str | None = None
 
     def __post_init__(self):
+        if isinstance(self.windows, str):  # --windows and --tori arrive as text
+            object.__setattr__(self, "windows", parse_windows(self.windows))
+        if isinstance(self.tori, str):
+            object.__setattr__(self, "tori", parse_tori(self.tori))
         if self.command not in _SUBCOMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.out_format not in ("json", "csv"):
@@ -158,11 +161,14 @@ def _parse_params(text: str) -> dict:
     for part in _parts(text):
         if "=" not in part:
             raise ValueError(f"parameter {part!r} is not of the form name=value")
-        name, value = part.split("=", 1)
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"parameter {name.strip()} must be finite")
-        params[name.strip()] = value
+        name, value = map(str.strip, part.split("=", 1))
+        try:
+            number = float(value)
+        except ValueError:
+            raise ValueError(f"parameter {name} must be a number, not {value!r}") from None
+        if not math.isfinite(number):
+            raise ValueError(f"parameter {name} must be finite")
+        params[name] = number
     return params
 
 
@@ -240,8 +246,6 @@ def _dump(payload: dict) -> str:
     """The payload as indented JSON. Exact counts print with all their
     digits: Python's int-to-str digit limit is lifted for this call only,
     so input parsing keeps it."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the limit
-        return json.dumps(_num(payload), indent=2) + "\n"
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -302,9 +306,9 @@ def cmd_permanent(cfg: RunConfig) -> tuple[str, int]:
     for mode, lv in values.items():
         payload[mode] = {"value": lv.linear, "log_value": lv.log,
                          "normalized": lv.normalized(len(F))}
-    rows = [(label, len(F), lv.log, lv.normalized(len(F)), mode)
+    rows = [EstimateRow(label, len(F), lv.log, lv.normalized(len(F)), mode)
             for mode, lv in values.items()]
-    return _out(cfg, payload, _ROW_HEADER, rows), 0
+    return _out(cfg, payload, _ROW_HEADER, map(astuple, rows)), 0
 
 
 def cmd_mahler(cfg: RunConfig) -> tuple[str, int]:
@@ -366,16 +370,13 @@ def cmd_periodic(cfg: RunConfig) -> tuple[str, int]:
         default_tori(f, range(4, 13)) if f.dim == 1 else default_tori(f))
     if not tori:
         raise ValueError("no usable torus moduli for this element")
-    done, skipped = _run_jobs(lambda q: torus_permanent(f, q, budget=cfg.budget),
-                              tori, torus_label)
+    rows, counts, skipped = torus_estimates(f, tori, budget=cfg.budget)
     payload = {"command": "periodic", "dim": f.dim,
-               "tori": [{"torus": torus_label(q), "sites": q.size, "count": lv.linear,
-                         "log_value": lv.log, "normalized": lv.normalized(q.size)}
-                        for q, lv in done],
+               "tori": [{"torus": r.window, "sites": r.size, "count": count,
+                         "log_value": r.log_value, "normalized": r.normalized}
+                        for r, count in zip(rows, counts)],
                "capacity_skipped": skipped}
-    rows = [(torus_label(q), q.size, lv.log, lv.normalized(q.size), "torus")
-            for q, lv in done]
-    return _out(cfg, payload, _ROW_HEADER, rows), 3 if skipped else 0
+    return _out(cfg, payload, _ROW_HEADER, map(astuple, rows)), 3 if skipped else 0
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +584,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
 # "unrecognized arguments" error (exit 2). No flag has a default: an unset
 # flag stays out of the namespace and RunConfig supplies its value.
 _FLAGS = {
-    "--windows": dict(type=parse_windows, metavar="N0..N1",
-                      help="box side lengths, e.g. '2..10' or '4,8'"),
-    "--tori": dict(type=parse_tori, metavar="SIZES",
-                   help="torus moduli, e.g. '4x4,6x6' or '4..12'"),
+    "--windows": dict(metavar="N0..N1", help="box side lengths, e.g. '2..10' or '4,8'"),
+    "--tori": dict(metavar="SIZES", help="torus moduli, e.g. '4x4,6x6' or '4..12'"),
     "--params": dict(metavar="KV", help="comma-separated overrides, e.g. 'a=2,b=1,K=4'"),
     "--grid": dict(type=int, help="quadrature grid points per dimension"),
     "--eps": dict(type=float, help="quadrature floor for log singularities"),

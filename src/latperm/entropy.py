@@ -66,7 +66,7 @@ class EstimateRow:
     size: int
     log_value: float
     normalized: float
-    kind: str  # upper | torus | transfer | bound
+    kind: str  # upper | torus | transfer | bound; for permanent, the mode
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,10 @@ def torus_estimates(
     f: GroupRingElement,
     quotients,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[list[EstimateRow], list[str]]:
-    """Normalized log permanents on finite quotients.
+) -> tuple[list[EstimateRow], list, list[str]]:
+    """Normalized log permanents on finite quotients, as rows, and the count
+    of each row's torus: counts[i] is the linear permanent of rows[i], an
+    exact int for integer f.
 
     Quotients on which distinct displacements collide raise ValueError (the
     message names the offending pair); capacity blowups are skipped and
@@ -163,7 +165,7 @@ def torus_estimates(
                               list(quotients), torus_label)
     rows = [EstimateRow(torus_label(q), q.size, v.log, v.normalized(q.size), "torus")
             for q, v in done]
-    return rows, skipped
+    return rows, [v.linear for _, v in done], skipped
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +425,7 @@ def estimate_report(
     rows: list[EstimateRow] = []
     upper_rows, skipped = upper_estimates(f, schedule, budget=budget)
     rows.extend(upper_rows)
-    torus_rows, torus_skipped = torus_estimates(f, tori, budget=budget)
+    torus_rows, _, torus_skipped = torus_estimates(f, tori, budget=budget)
     rows.extend(torus_rows)
     skipped = skipped + torus_skipped
 

@@ -464,8 +464,8 @@ def evaluate_family(
                                           modes=("admissible",), budget=budget)
     if not upper_rows:
         raise CapacityError("no window fits the budget: " + "; ".join(skipped))
-    torus_rows, torus_skipped = torus_estimates(f, default_tori(f, range(2, 5)),
-                                                budget=budget)
+    torus_rows, _, torus_skipped = torus_estimates(f, default_tori(f, range(2, 5)),
+                                                   budget=budget)
     per_high = min(r.normalized for r in upper_rows)
     per_low = pressure_lower_bound(f)
     torus_max = max((r.normalized for r in torus_rows), default=None)

@@ -711,21 +711,18 @@ def det_identity_check(f: GroupRingElement, F: Window,
 # doubly stochastic extension and classical bounds
 
 
-def doubly_stochastic_extension(f: GroupRingElement, F: Window,
-                                A: Window | None = None) -> tuple[np.ndarray, tuple[Point, ...]]:
+def doubly_stochastic_extension(f: GroupRingElement,
+                                F: Window) -> tuple[np.ndarray, tuple[Point, ...]]:
     """Square doubly stochastic matrix on FA extending the site-target matrix.
 
     Each displacement a of A induces a bijection of FA that translates F by a
     and maps the leftover points onto the leftover targets in lexicographic
     order; summing f_a over these bijections gives the extension. Needs
-    nonnegative f with total mass one. The ambient displacement set is
-    enlarged by the zero displacement so that F sits inside FA and the
-    site-target matrix really is a submatrix.
+    nonnegative f with total mass one. The ambient displacement set A is
+    supp(f) enlarged by the zero displacement, so that F sits inside FA and
+    the site-target matrix really is a submatrix.
     """
-    A = A if A is not None else f.support()
-    if not f.support().point_set <= A.point_set:
-        raise ValueError("support of f must lie inside A")
-    A = Window.of(set(A.points) | {(0,) * f.dim})
+    A = Window.of(set(f.support().points) | {(0,) * f.dim})
     if not f.is_nonnegative():
         raise ValueError("extension needs nonnegative coefficients")
     if abs(sum(f.terms.values()) - 1.0) > 1e-12:

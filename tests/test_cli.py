@@ -1,6 +1,7 @@
 """CLI tests: parsing, subcommand output shapes, exit codes, determinism."""
 
 import argparse
+import ast
 import importlib.util
 import inspect
 import json
@@ -89,11 +90,16 @@ class TestParsing:
         ("2..y", "invalid literal for int() with base 10: 'y'",
          "invalid literal for int() with base 10: 'y'"),
     ])
-    def test_malformed_lists_name_their_fault(self, text, windows, tori):
+    def test_malformed_lists_name_their_fault(self, capsys, text, windows, tori):
         for parse, message in ((parse_windows, windows), (parse_tori, tori)):
             with pytest.raises(ValueError) as e:
                 parse(text)
             assert str(e.value) == message
+        # the CLI prints the parser's message as its one error line
+        for argv, message in ((["entropy", "--windows", text], windows),
+                              (["periodic", "--tori", text], tori)):
+            assert run(capsys, argv + ["--inline", TWO_POINT]) == \
+                (2, "", f"error: {message}\n")
 
     def test_lists_strip_parts_and_skip_empty_ones(self):
         assert parse_windows(" 4 , 2,3..5,") == (2, 3, 4, 5)
@@ -189,6 +195,21 @@ class TestFlagTable:
         assert (cfg.grid, cfg.eps) == (QuadratureConfig().grid, QuadratureConfig().eps)
         assert (cfg.threads, cfg.budget, cfg.out_format) == (1, DEFAULT_BUDGET, "json")
         assert (cfg.windows, cfg.tori, cfg.dim, cfg.params) == ((), (), None, None)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """Each module's underscore names are its own; entropy's transfer matrix
+    shares the frontier's claim rule, permanent._candidates."""
+    shared = {("entropy", "permanent", "_candidates")}
+    found = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or
+                                                     (node.module or "").startswith("latperm")):
+                source = (node.module or "").rsplit(".", 1)[-1]
+                found |= {(path.stem, source, a.name) for a in node.names
+                          if a.name.startswith("_") and source != path.stem}
+    assert found == shared
 
 
 def test_benchmark_argv_parses():
@@ -517,6 +538,11 @@ class TestCompare:
         assert code == 2
         assert "positive" in err
 
+    @pytest.mark.parametrize("params, value", [("a=x", "'x'"), ("a=", "''")])
+    def test_non_numeric_param_exit_2(self, capsys, params, value):
+        assert run(capsys, ["compare", "dimer", "--params", params]) == \
+            (2, "", f"error: parameter a must be a number, not {value}\n")
+
     def test_no_window_in_budget_exit_3(self, capsys):
         # the 2x2 dimer window takes 32 nodes
         code, out, err = run(capsys, ["compare", "dimer", "--budget", "20"])
@@ -624,6 +650,8 @@ class TestBelowUnitScale:
 
 
 THREE_POINT_GAP = '{"points": [[0], [3], [6]]}'
+THREE_POINT_GAP_ELEMENT = ('{"dim":1,"terms":[{"exp":[0],"coef":1},{"exp":[3],"coef":1},'
+                           '{"exp":[6],"coef":1}]}')
 UNIT_DIMER = ('{"dim":2,"terms":[{"exp":[1,0],"coef":1},{"exp":[-1,0],"coef":1},'
               '{"exp":[0,1],"coef":1},{"exp":[0,-1],"coef":1}]}')
 
@@ -729,7 +757,7 @@ class TestPeriodic:
         def exhausted(*args, **kwargs):
             raise MemoryError(*message)
 
-        monkeypatch.setattr(cli, "torus_permanent", exhausted)
+        monkeypatch.setattr(entropy, "torus_permanent", exhausted)
         code, out, err = run(capsys, ["periodic", "--inline", L_SHAPE, "--tori", "4x4"])
         assert (code, out) == (3, "")  # no partial output
         assert err == f"capacity budget exceeded: {line}\n"
@@ -743,6 +771,31 @@ class TestPeriodic:
         assert sys.get_int_max_str_digits() == limit  # lifted for the output only
         count = json.loads(out, parse_int=str)["tori"][0]["count"]
         assert count == "1" + "0" * 4300 + "1"  # 10**4301 + 1
+
+    @pytest.mark.parametrize("inline, tori, budget", [
+        (UNIT_DIMER, "4x4,6x6,4x6", "1000"),  # 6x6 blows the budget
+        (THREE_POINT_GAP_ELEMENT, "4,5,7,11", "400"),  # 11 blows it
+    ])
+    def test_periodic_and_pressure_write_the_same_torus_rows(self, capsys, inline,
+                                                             tori, budget):
+        outs = {}
+        for command in ("periodic", "pressure"):
+            argv = [command, "--inline", inline, "--tori", tori, "--budget", budget]
+            argv += ["--windows", "2"] if command == "pressure" else []
+            for fmt in ("json", "csv"):
+                code, outs[command, fmt], _ = run(capsys, argv + ["--format", fmt])
+                assert code == 3
+        torus_lines = [line for line in outs["pressure", "csv"].splitlines()
+                       if line.endswith(",torus")]
+        assert len(torus_lines) == tori.count(",")  # all tori but the skipped one
+        assert outs["periodic", "csv"].splitlines()[1:] == torus_lines
+        periodic, pressure = (json.loads(outs[c, "json"]) for c in ("periodic", "pressure"))
+        assert [(t["torus"], t["sites"], t["log_value"], t["normalized"])
+                for t in periodic["tori"]] == \
+            [(r["window"], r["size"], r["log_value"], r["normalized"])
+             for r in pressure["rows"] if r["kind"] == "torus"]
+        (skipped,) = periodic["capacity_skipped"]
+        assert pressure["capacity_skipped"][-1] == skipped
 
     def test_two_dim_quotients(self, capsys):
         code, out, _ = run(capsys, ["periodic", "--inline", L_SHAPE,

@@ -776,15 +776,17 @@ class TestTorusEstimates:
     def test_two_point_counts_are_two(self):
         f = indicator(0, 1)
         quotients = [TorusQuotient((n,)) for n in range(4, 13)]
-        rows, skipped = torus_estimates(f, quotients)
+        rows, counts, skipped = torus_estimates(f, quotients)
         assert not skipped
+        assert counts == [2] * 9 and all(type(c) is int for c in counts)
         for r, n in zip(rows, range(4, 13)):
             assert abs(r.log_value - math.log(2)) < 1e-12
             assert abs(r.normalized - math.log(2) / n) < 1e-12
 
     def test_three_interval_mod_four_counts_nine(self):
         f = indicator(-1, 0, 1)
-        rows, _ = torus_estimates(f, [TorusQuotient((4,))])
+        rows, counts, _ = torus_estimates(f, [TorusQuotient((4,))])
+        assert counts == [9]
         assert abs(rows[0].log_value - math.log(9)) < 1e-12
 
     def test_collision_raises_with_pair(self):
