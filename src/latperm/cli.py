@@ -176,43 +176,26 @@ def _parse_params(text: str) -> dict:
 # input loading
 
 
-def _load_obj(cfg: RunConfig):
+def _element(cfg: RunConfig, window_ok: bool = False) -> GroupRingElement:
+    """The nonzero element of --input or --inline, of dimension --dim if
+    given; with window_ok, a window JSON gives the indicator of its points."""
     if (cfg.input_path is None) == (cfg.inline is None):
         raise ValueError("pass exactly one of --input and --inline")
     if cfg.inline is not None:
-        return json.loads(cfg.inline)
-    with open(cfg.input_path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _check_dim(cfg: RunConfig, dim: int) -> None:
-    if cfg.dim is not None and dim != cfg.dim:
-        raise ValueError(f"input has dimension {dim}, --dim says {cfg.dim}")
-
-
-def _element(cfg: RunConfig) -> GroupRingElement:
-    obj = _load_obj(cfg)
-    if not isinstance(obj, dict) or "terms" not in obj:
-        raise ValueError("element JSON needs a 'terms' list")
-    f = GroupRingElement.from_json(obj)
-    if f.is_zero():
-        raise ValueError("element is zero")
-    _check_dim(cfg, f.dim)
-    return f
-
-
-def _displacement_weights(cfg: RunConfig, keep_weights: bool) -> GroupRingElement:
-    """Element from JSON; a window JSON becomes the indicator of its points."""
-    obj = _load_obj(cfg)
+        obj = json.loads(cfg.inline)
+    else:
+        with open(cfg.input_path, encoding="utf-8") as fh:
+            obj = json.load(fh)
     if isinstance(obj, dict) and "terms" in obj:
         f = GroupRingElement.from_json(obj)
-        if f.is_zero():
-            raise ValueError("element is zero")
-        if not keep_weights:
-            f = GroupRingElement.indicator(f.support())
-    else:
+    elif window_ok:
         f = GroupRingElement.indicator(Window.from_json(obj))
-    _check_dim(cfg, f.dim)
+    else:
+        raise ValueError("element JSON needs a 'terms' list")
+    if f.is_zero():
+        raise ValueError("element is zero")
+    if cfg.dim is not None and f.dim != cfg.dim:
+        raise ValueError(f"input has dimension {f.dim}, --dim says {cfg.dim}")
     return f
 
 
@@ -286,7 +269,8 @@ def _estimate_command(cfg: RunConfig, f: GroupRingElement) -> tuple[str, int]:
 
 
 def cmd_entropy(cfg: RunConfig) -> tuple[str, int]:
-    return _estimate_command(cfg, _displacement_weights(cfg, keep_weights=False))
+    f = _element(cfg, window_ok=True)
+    return _estimate_command(cfg, GroupRingElement.indicator(f.support()))
 
 
 def cmd_pressure(cfg: RunConfig) -> tuple[str, int]:
@@ -365,7 +349,7 @@ def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_periodic(cfg: RunConfig) -> tuple[str, int]:
-    f = _displacement_weights(cfg, keep_weights=True)
+    f = _element(cfg, window_ok=True)
     tori = [TorusQuotient(m) for m in cfg.tori] or (
         default_tori(f, range(4, 13)) if f.dim == 1 else default_tori(f))
     if not tori:

@@ -2,8 +2,8 @@
 
 Normalized log pattern counts over a growing window schedule give certified
 upper estimates (the infimum over finite windows equals the pressure).
-Finite-quotient permanents give lower estimates: convergent in dimension one,
-heuristic in higher dimension where the approximation question is open.
+Finite-quotient permanents give torus estimates with no proven side (every one
+measured lies at or above the pressure); the lower_* keys keep their names.
 In dimension one an exact transfer matrix over claimed-positions profiles
 pins the pressure to machine precision, and universal permanent bounds
 sandwich everything.
@@ -71,7 +71,7 @@ class EstimateRow:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Bundle of upper estimates, quotient lower estimates, and bounds.
+    """Bundle of upper estimates, torus estimates with no proven side, and bounds.
 
     running_infimum holds the prefix minima of the normalized window values
     in schedule order; it is nonincreasing and its last entry is the best

@@ -147,11 +147,13 @@ def interior(F: Window, A: Window) -> Window:
     return Window(tuple(t for t, n in sums(F, A.points)[1].items() if n == len(A)))
 
 
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class GroupRingElement:
     """Finitely supported function Z^d -> R, stored without zero terms
     (unit_scale keeps the ones that underflow in its g)."""
 
-    __slots__ = ("dim", "terms")
+    dim: int
+    terms: dict[Point, float | int]
 
     def __init__(self, dim: int, terms: Mapping[Sequence[int], float | int]):
         clean: dict[Point, float | int] = {}
@@ -163,16 +165,6 @@ class GroupRingElement:
                 clean[p] = clean.get(p, 0) + c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", {p: c for p, c in clean.items() if c != 0})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupRingElement is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupRingElement)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*u^{p}" for p, c in sorted(self.terms.items()))

@@ -97,16 +97,6 @@ class LogValue:
 # sweep kernel
 
 
-def _relevance(rows: list[list[tuple[int, object]]], nrows: int) -> list[int]:
-    rel = [0] * (nrows + 1)
-    for k in range(nrows - 1, -1, -1):
-        m = rel[k + 1]
-        for j, _ in rows[k]:
-            m |= 1 << j
-        rel[k] = m
-    return rel
-
-
 def _candidates(keys, vals, base, choices, need):
     """Keys and values of every (state, choice) pair that claims a free
     target and leaves no dying required target unclaimed. A choice
@@ -306,12 +296,14 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, spent: list, c
 
 
 def _dfs_permanent(rows, required_mask: int, exact: bool, budget: int):
-    """Plain backtracking over rows, no memoization."""
+    """Plain backtracking, no memoization; a required target is checked at its last row."""
     nrows = len(rows)
-    rel = _relevance(rows, nrows)
-    if required_mask & ~rel[0]:
+    last = {j: k for k, row in enumerate(rows) for j, _ in row}
+    if required_mask & ~sum(1 << j for j in last):
         return 0 if exact else 0.0
-    needs = [rel[k] & ~rel[k + 1] & required_mask for k in range(nrows)]
+    needs = [0] * nrows
+    for j, k in last.items():
+        needs[k] |= required_mask & 1 << j
     nodes = 0
 
     def go(k: int, mask: int, acc):

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import errno
 import importlib.util
 import inspect
 import json
@@ -212,6 +213,21 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == shared
 
 
+def test_sources_parse_at_the_python_floor():
+    """Every source file parses with the grammar of the oldest Python that
+    pyproject.toml's requires-python admits."""
+    root = Path(__file__).resolve().parent.parent
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)',
+                      (root / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    floor = tuple(map(int, floor.groups()))
+    assert floor >= (3, 10)
+    paths = [path for part in ("src", "tests", "scripts", "perfbench")
+             for path in sorted((root / part).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
+
+
 def test_benchmark_argv_parses():
     """Every CLI job of every benchmark workload, seed 1, parses into a valid
     RunConfig; no job runs."""
@@ -337,6 +353,21 @@ class TestPressure:
         assert payload["closed_form_lower"] == pytest.approx(
             math.log(1e308) + math.log(2) - 1, rel=1e-12)
         assert payload["closed_form_lower"] <= payload["transfer_value"]
+
+    def test_refused_transfer_is_skipped_exit_3(self, capsys):
+        # 1 + u^21 spans 21 > 20 positions: windows and torus run, the transfer does not
+        wide = '{"dim":1,"terms":[{"exp":[0],"coef":1},{"exp":[21],"coef":1}]}'
+        argv = ["pressure", "--inline", wide, "--windows", "2..3", "--tori", "22"]
+        kinds = ["upper"] * 4 + ["torus", "bound", "bound"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (3, "")
+        payload = json.loads(out)
+        assert payload["capacity_skipped"] == ["transfer: transfer span 21 exceeds the 20 limit"]
+        assert payload["transfer_value"] is None
+        assert [r["kind"] for r in payload["rows"]] == kinds
+        code, out, err = run(capsys, argv + ["--format", "csv"])
+        assert (code, err) == (3, "")
+        assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == kinds
 
     def test_signed_element_rejected(self, capsys):
         code, _, err = run(capsys, ["pressure", "--inline", GOLDEN_SIGNED,
@@ -836,6 +867,38 @@ MALFORMED = [
 ]
 
 
+ZERO = '{"dim":1,"terms":[]}'
+ONE_INPUT = "pass exactly one of --input and --inline"
+DIM_2 = "input has dimension 1, --dim says 2"
+NO_KEY = "window JSON needs a 'box' or 'points' key"
+
+# every path of the one --input/--inline loader, with its one error line;
+# {path} is a readable element file, {missing} a file that does not exist
+LOADER_ERRORS = [
+    (["entropy", "--input", "{path}", "--inline", TWO_POINT], ONE_INPUT),
+    (["pressure", "--input", "{path}", "--inline", GOLDEN], ONE_INPUT),
+    (["entropy"], ONE_INPUT),
+    (["periodic"], ONE_INPUT),
+    (["mahler"], ONE_INPUT),
+    (["mahler", "--input", "{path}", "--inline", TWO_POINT], ONE_INPUT),
+    *[([command, "--inline", TWO_POINT], "element JSON needs a 'terms' list")
+      for command in ("pressure", "permanent", "mahler")],
+    *[([command, "--inline", ZERO], "element is zero")
+      for command in ("entropy", "pressure", "periodic")],
+    (["pressure", "--inline", GOLDEN, "--dim", "2"], DIM_2),
+    (["periodic", "--inline", GOLDEN, "--dim", "2"], DIM_2),
+    (["entropy", "--inline", TWO_POINT, "--dim", "2"], DIM_2),
+    (["periodic", "--inline", L_SHAPE, "--dim", "1"], "input has dimension 2, --dim says 1"),
+    *[([command, "--inline", "[[0], [1]]"], NO_KEY) for command in ("entropy", "periodic")],
+    *[([command, "--inline", '{"points": []}'], "empty window has no dimension")
+      for command in ("entropy", "periodic")],
+    *[([command, "--input", "{missing}"],
+       f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {{missing!r}}")
+      for command in ("entropy", "pressure")],
+    (["pressure", "--inline", "not json"], "Expecting value: line 1 column 1 (char 0)"),
+]
+
+
 class TestInputErrors:
     def test_both_input_and_inline(self, capsys, tmp_path):
         path = tmp_path / "a.json"
@@ -868,6 +931,16 @@ class TestInputErrors:
         zero = '{"dim":1,"terms":[]}'
         code, _, err = run(capsys, ["pressure", "--inline", zero])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, message", LOADER_ERRORS)
+    def test_loader_error_line(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "element.json"
+        path.write_text(GOLDEN)
+        names = {"path": str(path), "missing": str(tmp_path / "missing.json")}
+        argv = [arg.format(**names) if arg in ("{path}", "{missing}") else arg
+                for arg in argv]
+        message = message.format(missing=names["missing"])
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv,field", MALFORMED)
     def test_malformed_field(self, capsys, argv, field):

@@ -1,9 +1,13 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from latperm.fkdet import family_instance
 from latperm.groupring import (
     GroupRingElement,
     TorusQuotient,
@@ -244,3 +248,65 @@ class TestQuotient:
         lhs = project(f.convolve(g), q)
         rhs = oracles.quotient_convolve(project(f, q), project(g, q), (n,))
         assert lhs == rhs
+
+
+class TestFrozenElement:
+    """GroupRingElement is a frozen dataclass: copies and pickles equal the
+    original and keep its terms, a unit_scale 0.0 term too."""
+
+    def test_copy_deepcopy_and_pickle_round_trip(self):
+        f = elem(2, {(0, 0): 3, (1, -1): -0.5, (2, 5): 10 ** 30})
+        g, k = elem(1, {(0,): 1e-300, (1,): 1e300}).unit_scale()
+        assert k == 996 and g.terms[(0,)] == 0.0
+        for x in (f, g):
+            for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert type(y) is GroupRingElement
+                assert y == x and y.dim == x.dim
+                assert list(y.terms.items()) == list(x.terms.items())
+
+    def test_asdict_of_a_family_instance(self):
+        inst = family_instance("dimer", {"a": 1.0, "b": 1.0})
+        d = dataclasses.asdict(inst)
+        as_dict = lambda e: {"dim": e.dim, "terms": e.terms}
+        assert d["permanent_element"] == as_dict(inst.permanent_element)
+        assert d["det_elements"] == tuple(map(as_dict, inst.det_elements))
+        assert (d["family"], d["params"], d["dim"]) == (inst.family, inst.params, inst.dim)
+        assert pickle.loads(pickle.dumps(inst)) == copy.deepcopy(inst) == inst
+
+    @pytest.mark.parametrize("name", ["dim", "terms"])
+    def test_fields_cannot_be_assigned(self, name):
+        f = elem(1, {(0,): 1})
+        with pytest.raises(AttributeError):
+            setattr(f, name, 2)
+        assert f == elem(1, {(0,): 1})
+
+
+# each guard with the error type and message it raises
+GUARDS = [
+    (lambda: Window.of([(0,), (0, 1)]), ValueError,
+     "window points must share one dimension"),
+    (lambda: Window.box([0, 0], [2]), ValueError,
+     "origin and lengths must have equal dimension"),
+    (lambda: Window.box([0], [0]), ValueError, "box lengths must be positive"),
+    (lambda: Window(()).dim, ValueError, "empty window has no dimension"),
+    (lambda: elem(1, {(0, 0): 1}), ValueError, "term (0, 0) does not have dimension 1"),
+    (lambda: elem(1, {(0,): 1}).convolve(elem(2, {(0, 0): 1})), ValueError,
+     "dimension mismatch"),
+    (lambda: elem(1, {(0,): 1}).pointwise(elem(2, {(0, 0): 1})), ValueError,
+     "dimension mismatch"),
+    (lambda: elem(1, {(0,): 1}) + elem(2, {(0, 0): 1}), ValueError,
+     "dimension mismatch"),
+    (lambda: project(elem(1, {(0,): 1}), TorusQuotient((2, 2))), ValueError,
+     "dimension mismatch"),
+    (lambda: elem(1, {(0,): -1, (1,): -0.5}).min_positive(), ValueError,
+     "element has no positive coefficient"),
+    (lambda: TorusQuotient((3, 0)), ValueError, "moduli must be positive integers"),
+    (lambda: TorusQuotient(()), ValueError, "moduli must be positive integers"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS)
+def test_guard_raises_its_message(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert type(e.value) is error and str(e.value) == message

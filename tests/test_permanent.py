@@ -17,6 +17,8 @@ from latperm.groupring import (
     separated_on_quotient,
     sub,
 )
+from latperm.entropy import entropy_upper_bound, pressure_lower_bound
+from latperm.fkdet import mahler_measure_roots
 from latperm.patterns import enumerate_injective
 from latperm.permanent import (
     LogValue,
@@ -33,6 +35,7 @@ from latperm.permanent import (
     torus_permanent,
     vdw_bound,
     window_permanent,
+    window_permanents,
 )
 
 import latperm.permanent as permanent
@@ -985,6 +988,24 @@ class TestFloatRange:
         assert window_permanent(self.GOLDEN, F, exact=False).log == \
             pytest.approx(want, rel=1e-12)
 
+    def test_component_product_past_2_512(self, monkeypatch):
+        # 3 + 3u^2 splits the sites into evens and odds; on g = 1.5 + 1.5u^2
+        # each component stays near 2^293, and only their product passes 2^512
+        shifts = []
+        shrink = permanent._shrink
+
+        def spy(x, exp):
+            out = shrink(x, exp)
+            shifts.append(out[1] - exp)
+            return out
+
+        monkeypatch.setattr(permanent, "_shrink", spy)
+        f, F = elem(1, {(0,): 3, (2,): 3}), Window.box([0], [1000])
+        got = window_permanent(f, F, exact=False)
+        assert shifts.count(512) == 1 and set(shifts) == {0, 512}
+        want = window_permanent(f, F).linear
+        assert got.sign == 1 and got.log == pytest.approx(math.log(want), rel=0, abs=1e-12)
+
     def test_matrix_beyond_float_range_raises(self):
         # rows i claim columns i, i+1, i+2: the value grows about 2^0.7 a
         # row, so 1000 rows pass 2^512 inside the float range and 1600 leave it
@@ -1133,6 +1154,52 @@ class TestBounds:
         if per == 0:
             return
         assert math.log(per) <= bregman_bound(M) + 1e-12
+
+
+GOLDEN = elem(1, {(0,): 1, (1,): 1, (2,): 1})
+
+# each guard with the error type and message it raises
+GUARDS = [
+    (lambda: window_permanent(GOLDEN, Window.box([0], [8]), backend="dfs", budget=10),
+     CapacityError, "dfs kernel exceeded 10 nodes"),
+    (lambda: window_permanent(elem(1, {(0,): 1}), Window.box([0], [25]), backend="ryser"),
+     CapacityError, "inclusion-exclusion limited to 24 required columns"),
+    (lambda: window_permanent(GOLDEN, Window.box([0], [4]), A=Window.of([[0], [1]])),
+     ValueError, "support of f must lie inside A"),
+    (lambda: torus_permanent(GOLDEN, TorusQuotient((3, 3))), ValueError,
+     "quotient dimension does not match element"),
+    (lambda: doubly_stochastic_extension(elem(1, {(0,): 1.5, (1,): -0.5}), Window.box([0], [2])),
+     ValueError, "extension needs nonnegative coefficients"),
+    (lambda: vdw_bound(0), ValueError, "order must be positive"),
+    (lambda: entropy_upper_bound(Window(())), ValueError, "empty displacement set"),
+    (lambda: mahler_measure_roots(elem(1, {})), ValueError,
+     "mahler measure of the zero element is undefined"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS)
+def test_guard_raises_its_message(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert type(e.value) is error and str(e.value) == message
+
+
+# edge cases that return a value rather than raise, with its exact type
+EDGES = [
+    (lambda: ryser_permanent([], [], exact=True), 1),
+    (lambda: ryser_permanent([], []), 1.0),
+    (lambda: ryser_permanent([[(0, 2)]], [], exact=True), 0),
+    (lambda: ryser_permanent([[(0, 2.0)]], []), 0.0),
+    (lambda: list(window_permanents(elem(1, {}), Window.box([0], [3]), [0, 2, 3])),
+     [LogValue.from_linear(1), LogValue.from_linear(0), LogValue.from_linear(0)]),
+    (lambda: pressure_lower_bound(elem(2, {})), -math.inf),
+]
+
+
+@pytest.mark.parametrize("call, value", EDGES)
+def test_edge_value(call, value):
+    got = call()
+    assert got == value and type(got) is type(value)
 
 
 class TestLogValue:
