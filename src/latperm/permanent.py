@@ -15,11 +15,12 @@ are cross-checks:
   each cut's value is yielded as soon as all of them reach it.
   States are the sets of claimed targets that some later site can still
   claim, so the frontier stays small. Coverage requirements are enforced
-  the moment a target's last potential claimant passes. Keys and exact
-  values start as int64 and turn into Python ints when the frontier or the
-  values outgrow it, so integer inputs give exact integers of any size;
-  float values are scaled by 2^-512 past 2^512. A torus sweeps one
-  component, see below.
+  the moment a target's last potential claimant passes. Keys start as
+  int32, widen to int64 and then to Python ints as the frontier outgrows
+  each, and narrow again when it shrinks; exact values start as int64 and
+  turn into Python ints when they outgrow it, so integer inputs give exact
+  integers of any size; float values are scaled by 2^-512 past 2^512. A
+  torus sweeps one component, see below.
 * ``dfs`` - plain depth-first backtracking without memoization.
 * ``ryser`` - Gray-code Ryser on the same rows, with rectangular inputs
   padded by all-one rows, and coverage handled by inclusion-exclusion over
@@ -55,7 +56,8 @@ from .groupring import (
 )
 from .patterns import DEFAULT_BUDGET, enumerate_injective, pattern_sign
 
-_KEY_BITS = 62  # int64 keys while every key bit is below this
+# keys are int32 while every key bit is below 31, int64 below 62, Python ints beyond
+_INT32_KEY_BITS, _KEY_BITS = 31, 62
 _VALUE_LIMIT = 1 << 62  # exact int64 values stay below this
 _FLOAT_LIMIT = 2.0 ** 512  # float values at or past this are divided by it
 _RYSER_MAX_COLS = 24
@@ -210,8 +212,9 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, spent: list, c
     move: a row maps a key to ``key & keep | put``, where ``keep`` holds the
     bits of the targets that stay live and ``put`` is the bit of the chosen
     target if it stays live. Being lowest-free, no bit is higher than the
-    peak number of live targets; keys are int64 while every bit held is
-    below 62, Python ints otherwise. Required targets are checked at their
+    peak number of live targets; each row picks the narrowest key type for
+    the bits it holds: int32 while every bit is below 31, int64 below 62,
+    Python ints otherwise. Required targets are checked at their
     last row. Exact values start as int64 and become Python ints at the
     first row whose bound sum(|values|) * sum(|weights|) on the next values
     could reach 2^62, summed once a running product of the sum(|weights|)
@@ -227,7 +230,7 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, spent: list, c
     """
     last = {j: k for k, row in enumerate(rows) for j, _ in row}
     signed = any(w < 0 for row in rows for _, w in row)  # else every value is >= 0
-    keys = np.zeros(1, dtype=np.int64)
+    keys = np.zeros(1, dtype=np.int32)
     vals = np.ones(1, dtype=np.int64 if exact else np.float64)
     bit: dict[int, int] = {}  # target -> its key bit; dead entries are never read
     used = 0  # the bits of the live targets
@@ -269,8 +272,10 @@ def _frontier(rows, required_mask: int, exact: bool, budget: int, spent: list, c
                     used |= put
                 if not unclaimed or unclaimed == 1 << j:
                     choices.append((b, put, w))
-            # convert keys & keep, not keys: a dying bit may sit above 62
-            base = (keys & keep).astype(object if used >> _KEY_BITS else np.int64, copy=False)
+            # convert keys & keep, not keys: a dying bit may sit above 31 or 62
+            key_type = (np.int32 if not used >> _INT32_KEY_BITS else
+                        np.int64 if not used >> _KEY_BITS else object)
+            base = (keys & keep).astype(key_type, copy=False)
             kk, vv = _candidates(keys, vals, base, choices, need)
             del keys, vals, base  # a yielded snapshot stays with its reader
             if kk.size == 0:  # no pattern: every later state is empty, no target live
@@ -590,7 +595,8 @@ def _join(snap, other, partner, exact: bool):
     """Sum over K of F[K] * G[partner(L - K)] as (value, exp), for the
     _frontier snapshots F = ``snap`` with live targets L and G = ``other``.
     The key of partner(L - K) is built one key byte at a time, from a
-    256-entry table per byte of the partner bits of its set bits. Exact
+    256-entry table per byte of the partner bits of its set bits, in G's key
+    type: the two snapshots may hold keys of different types. Exact
     products are int64 while sum |F| * max |G| is below 2^62; float halves
     are scaled to at most 1 by powers of two, so none overflows."""
     keys, vals, exp, live = snap
@@ -600,12 +606,14 @@ def _join(snap, other, partner, exact: bool):
     moved = [0] * ((top + 7) // 8 * 8)  # the partner bit of each key bit, or 0
     for t, b in live.items():
         moved[b.bit_length() - 1] = olive[partner(t)]
-    if rest.dtype != object:  # int64 keys are read as their 8 little-endian bytes
-        rest = rest.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    if rest.dtype != object:  # int32 and int64 keys are read as their little-endian bytes
+        n = rest.itemsize
+        rest = rest.astype(f"<i{n}", copy=False).view(np.uint8).reshape(-1, n)
     want = np.zeros(keys.size, dtype=okeys.dtype)
     for i in range(0, len(moved), 8):
-        # entry v of the table is the partner key of the bits of v << i
-        table = _BYTE_BITS @ np.array(moved[i:i + 8], dtype=okeys.dtype)
+        # entry v of the table is the partner key of the bits of v << i; the
+        # product is int64 for int32 partner keys, so it is cast back
+        table = (_BYTE_BITS @ np.array(moved[i:i + 8], dtype=okeys.dtype)).astype(okeys.dtype)
         want |= table[rest[:, i // 8] if rest.ndim == 2 else (rest >> i & 255).astype(np.intp)]
     del rest  # from here on each array is dropped once read
     order = np.argsort(want)  # sorted needles search faster

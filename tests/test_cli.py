@@ -970,6 +970,18 @@ class TestVerify:
             "CAPACITY det-identity-and-per-ge-det"]
         assert lines[-1].endswith("pattern enumeration exceeded 50 nodes")
 
+    def test_verify_does_not_load_numpy_random(self):
+        # the seeded instances come from the standard library's random, so a
+        # process that runs verify never pays for loading numpy.random
+        code = (
+            "import contextlib, io, sys\n"
+            "import latperm.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify']) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        assert run_fresh(code) == "False\n"
+
     def test_capacity_error_after_a_failure_exits_1(self, capsys, monkeypatch):
         def fails(rng, budget):
             return False, "forced"

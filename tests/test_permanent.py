@@ -374,7 +374,7 @@ class TestStableKeyBits:
     @pytest.mark.parametrize("req", [0, 1 << 65 | 1 << 2])
     def test_frontier_above_62_bits_then_narrow(self, req):
         # the first two rows keep 70 targets live, so the keys turn into
-        # Python ints; then targets 10..69 die and the keys return to int64
+        # Python ints; then targets 10..69 die and the keys return to int32
         # with bits 0..9, while the dying bits still sit above 62
         rows = [[(j, 1 + j % 3) for j in range(70)],
                 [(j, 1 + j % 2) for j in range(69, -1, -1)],
@@ -387,6 +387,29 @@ class TestStableKeyBits:
         assert math.ldexp(*next(_sweep(frows, req, False, 10**7, [len(frows)]))) == \
             pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("req", [0, 1 << 31 | 1 << 2])
+    def test_frontier_at_31_then_32_bits_then_narrow(self, req):
+        # row 0 keeps 31 targets live, on bits 0..30, so the keys stay int32;
+        # row 1 adds target 31 on bit 31 and the keys turn int64; row 2 is
+        # the last of targets 10..31, and the keys return to int32 with bits
+        # 0..9 while the dying bit 31 still sits in the int64 keys
+        rows = [[(j, 1 + j % 3) for j in range(31)],
+                [(j, 1 + j % 2) for j in range(31, -1, -1)],
+                [(j, 2 + j % 5) for j in range(32)],
+                [(j, 1) for j in range(0, 10, 2)]]
+        cuts = range(len(rows) + 1)
+        snaps = list(permanent._frontier(rows, req, True, 10**7, [0], cuts))
+        assert [keys.dtype for keys, _, _, _ in snaps] == \
+            [np.int32, np.int32, np.int64, np.int32, np.int32]
+        frows = [[(j, float(w)) for j, w in row] for row in rows]
+        exact = list(_sweep(rows, req, True, 10**7, cuts))
+        floats = list(_sweep(frows, req, False, 10**7, cuts))
+        for c, value, fvalue in zip(cuts, exact, floats):
+            later = sum(1 << j for j in {j for row in rows[c:] for j, _ in row})
+            want = _dfs_permanent(rows[:c], req & ~later, True, 10**7)
+            assert value == (want, 0)
+            assert math.ldexp(*fvalue) == pytest.approx(want, rel=1e-12)
+        assert exact[-1][0] > 0
 
     @given(st.lists(st.dictionaries(st.integers(0, 6), st.integers(-2**16, 2**16).filter(bool),
                                     min_size=1, max_size=4), max_size=8),
@@ -914,8 +937,8 @@ class TestTorusJoin:
 
     def test_unit_dimer_10x10_peak_memory(self):
         # the cut before slab 5 holds C(20, 10) = 184 756 states; a row that
-        # drops its inputs and sort arrays once read peaks near 57 bytes a
-        # state, and the join near 49, where holding them all took 105
+        # drops its inputs and sort arrays once read, with int32 keys, peaks
+        # near 43 bytes a state, and the join near 45
         f = ones([[1, 0], [-1, 0], [0, 1], [0, -1]])
         torus_permanent(f, TorusQuotient((4, 4)))
         tracemalloc.start()
@@ -924,14 +947,20 @@ class TestTorusJoin:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * math.comb(20, 10)
+        assert peak <= 52 * math.comb(20, 10)
 
     @pytest.mark.parametrize("bits,obits", [
         (list(range(20)), [7, 3, 0, 19, 12, 5, 1, 18, 9, 2, 4, 17, 6, 11, 8, 16, 10, 15, 13, 14]),
         ([0, 20, 41], [2, 1, 0]),  # a key byte with no live bit between
-        ([0, 5, 63, 64, 70, 90], [1, 2, 3, 8, 9, 17]),  # object keys, int64 partners
+        ([0, 5, 63, 64, 70, 90], [1, 2, 3, 8, 9, 17]),  # object keys, int32 partners
         ([0, 9, 17, 30, 61], [62, 63, 100, 3, 7]),  # int64 keys, object partners
         ([62, 65, 80, 0, 1], [70, 71, 2, 100, 33]),
+        # int32 keys with int64 partners, and the reverse
+        (list(range(20)), [*range(10), 31, 33, 35, 40, 44, 50, 55, 58, 60, 61]),
+        ([*range(10), 31, 33, 35, 40, 44, 50, 55, 58, 60, 61], list(range(20))),
+        # int32 keys with object partners, some bits in 31..61, and the reverse
+        (list(range(20)), [*range(8), 31, 40, 61, 62, 63, 64, 70, 80, 90, 100, 127, 128]),
+        ([*range(8), 31, 40, 61, 62, 63, 64, 70, 80, 90, 100, 127, 128], list(range(20))),
         ([], []),  # nothing live: the one empty state joins the other's
     ])
     @pytest.mark.parametrize("exact,scale", [(True, 1), (True, 2 ** 40), (False, 1)])
@@ -947,12 +976,14 @@ class TestTorusJoin:
             # bit i of a subset picks the i-th live target
             keys = sorted({sum(b for i, b in enumerate(bitmap.values()) if s >> i & 1)
                            for s in subsets})
-            wide = max(bitmap.values(), default=0) >> 62  # keys as the sweep holds them
+            # keys as the sweep holds them: int32 below bit 31, int64 below 62
+            top = max(bitmap.values(), default=0)
+            key_type = np.int32 if top < 1 << 31 else np.int64 if top < 1 << 62 else object
             if exact:
                 vals = rng.integers(1, 10, len(keys)) * scale
             else:
                 vals = rng.random(len(keys)) * 2.0 ** int(rng.integers(-40, 40))
-            return (np.array(keys, dtype=object if wide else np.int64), vals,
+            return (np.array(keys, dtype=key_type), vals,
                     0 if exact else int(rng.integers(0, 1024)), bitmap)
 
         mine = [int(s) for s in rng.integers(0, 1 << n, 200)]
